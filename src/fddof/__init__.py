@@ -40,13 +40,16 @@ from .regions import (
     DegenerateGeometryError,
     DofRegion,
     RegionRelation,
+    LinkProducts,
     ScatteringGeometry,
+    cap_corners,
     corner_points,
     fd_caps,
     fd_region,
     genie_expand,
     hd_region,
     is_rectangular,
+    link_products,
     make_fully_spread,
     make_symmetric,
     region_from_caps,
@@ -74,6 +77,7 @@ __all__ = [
     "DiscretizedChannel",
     "DofRegion",
     "DomainError",
+    "LinkProducts",
     "MalformedIntervalError",
     "OperatorDimReport",
     "OracleSettings",
@@ -86,6 +90,7 @@ __all__ = [
     "SpaceAllocation",
     "ZeroForcingResult",
     "allocate_basis",
+    "cap_corners",
     "corner_points",
     "corrupt_support",
     "cos_degrees",
@@ -96,6 +101,7 @@ __all__ = [
     "integer_rescale",
     "integer_scale",
     "is_rectangular",
+    "link_products",
     "load_scenario",
     "make_fully_spread",
     "make_symmetric",

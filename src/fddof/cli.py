@@ -1,13 +1,17 @@
 """Command-line front door: region reports, comparisons, sweeps, verification.
 
-Exit codes: 0 ok; 1 verification failure; 2 missing file; 3 schema error;
-4 interval/length invariant violation; 5 bad sweep base; 6 quantization.
+Exit codes: 0 ok; 1 verification failure; 2 missing file or a usage error
+(argparse: unknown option, missing argument, or an option value its
+validator rejects, such as ``--seeds 0`` or ``--rank-tol nan``); 3 schema
+error; 4 interval/length invariant violation; 5 bad sweep base;
+6 quantization.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from fractions import Fraction
 
@@ -24,6 +28,7 @@ from .oracle import (
 )
 from .regions import (
     RegionRelation,
+    cap_corners,
     corner_points,
     fd_caps,
     fd_region,
@@ -136,7 +141,7 @@ def _symmetric_base(scn: Scenario):
 
 
 def _with_overlap(
-    length: Fraction, fwd: DirectionSet, back: DirectionSet, overlap: Fraction
+    fwd: DirectionSet, back: DirectionSet, overlap: Fraction
 ) -> DirectionSet:
     """Backscatter set of back's measure overlapping fwd by exactly overlap."""
     inside = fwd.take_from_left(overlap)
@@ -171,7 +176,7 @@ def cmd_sweep(args) -> int:
     rows = []
     entries = []
     for overlap in grid:
-        g = make_symmetric(length, fwd, _with_overlap(length, fwd, back, overlap))
+        g = make_symmetric(length, fwd, _with_overlap(fwd, back, overlap))
         d1_max, d2_max, dsum_max = fd_caps(g)
         rect = is_rectangular(g)
         rows.append((overlap, d1_max, d2_max, dsum_max, rect))
@@ -213,10 +218,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    return min(max(x, lo), hi)
-
-
 def cmd_verify(args) -> int:
     scn = load_scenario(args.scenario)
     g = scn.geometry
@@ -236,9 +237,7 @@ def cmd_verify(args) -> int:
         f"p''=({corners.p_double_prime[0]}, {corners.p_double_prime[1]})"
     )
 
-    zero = Fraction(0)
-    target_prime = (d1_max, _clamp(dsum_max - d1_max, zero, d2_max))
-    target_double = (_clamp(dsum_max - d2_max, zero, d1_max), d2_max)
+    target_prime, target_double = cap_corners((d1_max, d2_max, dsum_max))
     identity_ok = (
         corners.p_prime == target_prime
         and corners.p_double_prime == target_double
@@ -295,6 +294,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fddof",
@@ -333,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="randomized matrix oracle checks of the closed forms"
     )
     p_verify.add_argument("scenario")
-    p_verify.add_argument("--seeds", type=int, default=None)
+    p_verify.add_argument("--seeds", type=_positive_int, default=None)
     p_verify.add_argument(
         "--auto-rescale",
         action="store_true",
         help="scale array lengths to the least integral geometry first",
     )
-    p_verify.add_argument("--rank-tol", type=float, default=None)
+    p_verify.add_argument("--rank-tol", type=_positive_finite, default=None)
     p_verify.add_argument(
         "--corrupt-support", action="store_true", help=argparse.SUPPRESS
     )

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import DirectionSet, refine
-from .regions import ScatteringGeometry, _pos
+from .regions import ScatteringGeometry, link_products
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -50,6 +50,13 @@ class RankToleranceWarning(UserWarning):
     """A singular value sits near the rank threshold; rank is unreliable."""
 
 
+def _count(svals: np.ndarray, rank_tol: float) -> int:
+    """Singular values above rank_tol relative to the largest."""
+    if svals.size == 0 or float(svals[0]) == 0.0:
+        return 0
+    return int(np.sum(svals > rank_tol * float(svals[0])))
+
+
 def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above rank_tol relative to the largest.
 
@@ -61,10 +68,7 @@ def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> in
     if matrix.size == 0:
         return 0
     svals = np.linalg.svd(matrix, compute_uv=False)
-    top = float(svals[0])
-    if top == 0.0:
-        return 0
-    threshold = rank_tol * top
+    threshold = rank_tol * float(svals[0])
     near = np.sum((svals > threshold / 10) & (svals < threshold * 10))
     if near:
         warnings.warn(
@@ -74,7 +78,7 @@ def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> in
             RankToleranceWarning,
             stacklevel=2,
         )
-    return int(np.sum(svals > threshold))
+    return _count(svals, rank_tol)
 
 
 @dataclass(frozen=True)
@@ -278,10 +282,11 @@ class OperatorDimReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"expected integral dimension, got {x}")
-    return int(x)
+def _as_int(x: int, k: int) -> int:
+    """x / k, which must be an integer."""
+    if x % k:
+        raise ValueError(f"expected integral dimension, got {Fraction(x, k)}")
+    return x // k
 
 
 def verify_operator_dims(
@@ -295,26 +300,17 @@ def verify_operator_dims(
     codimension of the uplink operator's range follow from the support
     overlaps.  All comparisons are integer equalities.
     """
-    L = g.lengths
     tol = ch.rank_tol
     rank11 = numerical_rank(ch.s11, tol)
     rank12 = numerical_rank(ch.s12, tol)
     rank22 = numerical_rank(ch.s22, tol)
 
-    exp_rank11 = _as_int(2 * min(L.l_t1 * g.t11.measure(),
-                                 L.l_r1 * g.r11.measure()))
-    exp_rank12 = _as_int(2 * min(L.l_t2 * g.t12.measure(),
-                                 L.l_r1 * g.r12.measure()))
-    exp_rank22 = _as_int(2 * min(L.l_t2 * g.t22.measure(),
-                                 L.l_r2 * g.r22.measure()))
-    exp_null12 = _as_int(
-        2 * L.l_t2 * (g.t22 - g.t12).measure()
-        + 2 * _pos(L.l_t2 * g.t12.measure() - L.l_r1 * g.r12.measure())
-    )
-    exp_codim11 = _as_int(
-        2 * L.l_r1 * (g.r12 - g.r11).measure()
-        + 2 * _pos(L.l_r1 * g.r11.measure() - L.l_t1 * g.t11.measure())
-    )
+    k, a, b, c, d, e, f, p, _, _, _, u, _ = link_products(g)
+    exp_rank11 = _as_int(2 * min(a, b), k)
+    exp_rank12 = _as_int(2 * min(e, f), k)
+    exp_rank22 = _as_int(2 * min(c, d), k)
+    exp_null12 = _as_int(2 * p + 2 * max(e - f, 0), k)
+    exp_codim11 = _as_int(2 * u + 2 * max(b - a, 0), k)
 
     checks = (
         DimCheck("rank(s11)", exp_rank11, rank11),
@@ -338,12 +334,6 @@ class ZeroForcingResult:
     @property
     def corner(self) -> tuple[int, int]:
         return (self.d1, self.d2)
-
-
-def _count(svals: np.ndarray, rank_tol: float) -> int:
-    if svals.size == 0 or float(svals[0]) == 0.0:
-        return 0
-    return int(np.sum(svals > rank_tol * float(svals[0])))
 
 
 def zero_forcing_corner(
@@ -431,18 +421,10 @@ def zf_case_applies(g: ScatteringGeometry) -> bool:
     construction is still a valid inner point but may sit strictly below
     the corner.
     """
-    L = g.lengths
-    a = L.l_t1 * g.t11.measure()
-    b = L.l_r1 * g.r11.measure()
-    d = L.l_r2 * g.r22.measure()
-    e = L.l_t2 * g.t12.measure()
-    f = L.l_r1 * g.r12.measure()
-    q = L.l_t2 * (g.t22 & g.t12).measure()
-    u = L.l_r1 * (g.r12 - g.r11).measure()
-    p = L.l_t2 * (g.t22 - g.t12).measure()
+    _, a, b, _, d, e, f, p, q, _, _, u, _ = link_products(g)
     if a < b or e < f:
         return False
-    if q < 2 * (_pos(e - f) + u):
+    if q < 2 * (max(e - f, 0) + u):
         return False
-    d_t2 = 2 * p + 2 * min(q, _pos(e - f) + u)
+    d_t2 = 2 * p + 2 * min(q, max(e - f, 0) + u)
     return d_t2 <= 2 * d

@@ -12,13 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from .intervals import DirectionSet, DomainError, Rational, _frac
-
-
-def _pos(x: Fraction) -> Fraction:
-    """Positive part."""
-    return x if x > 0 else Fraction(0)
 
 
 class DegenerateGeometryError(ValueError):
@@ -153,6 +150,121 @@ class RegionRelation(Enum):
     INCOMPARABLE = "incomparable"
 
 
+class LinkProducts(NamedTuple):
+    """The twelve length-weighted link products, as integers over ``k``.
+
+    The exact value of product ``x`` is ``x / k``; see ``link_products``.
+    """
+
+    k: int  # common denominator, positive
+    a: int  # l_t1 |t11|
+    b: int  # l_r1 |r11|
+    c: int  # l_t2 |t22|
+    d: int  # l_r2 |r22|
+    e: int  # l_t2 |t12|
+    f: int  # l_r1 |r12|
+    p: int  # l_t2 |t22 - t12|
+    q: int  # l_t2 |t22 & t12|
+    r: int  # l_r1 |r11 - r12|
+    s: int  # l_r1 |r11 & r12|
+    u: int  # l_r1 |r12 - r11|
+    v: int  # l_t2 |t12 - t22|
+
+
+def _scaled(ds: DirectionSet, den: int) -> list[tuple[int, int]]:
+    """Interval endpoints of ds times den, as integers."""
+    return [
+        (lo.numerator * (den // lo.denominator),
+         hi.numerator * (den // hi.denominator))
+        for lo, hi in ds.intervals
+    ]
+
+
+def _width(iv: list[tuple[int, int]]) -> int:
+    total = 0
+    for lo, hi in iv:
+        total += hi - lo
+    return total
+
+
+def _overlap(x: list[tuple[int, int]], y: list[tuple[int, int]]) -> int:
+    """Measure of the intersection of two sorted disjoint interval lists."""
+    total = i = j = 0
+    while i < len(x) and j < len(y):
+        xlo, xhi = x[i]
+        ylo, yhi = y[j]
+        lo = xlo if xlo > ylo else ylo
+        hi = xhi if xhi < yhi else yhi
+        if lo < hi:
+            total += hi - lo
+        if xhi <= yhi:
+            i += 1
+        else:
+            j += 1
+    return total
+
+
+def link_products(g: ScatteringGeometry) -> LinkProducts:
+    """The twelve link products every closed form is built from.
+
+    - a = l_t1 |t11|, b = l_r1 |r11|: uplink transmit and receive ends;
+    - c = l_t2 |t22|, d = l_r2 |r22|: downlink transmit and receive ends;
+    - e = l_t2 |t12|, f = l_r1 |r12|: backscatter loads at T2 and at R1;
+    - p = l_t2 |t22 - t12|, q = l_t2 |t22 & t12|, v = l_t2 |t12 - t22|;
+    - r = l_r1 |r11 - r12|, s = l_r1 |r11 & r12|, u = l_r1 |r12 - r11|.
+
+    Users: ``fd_caps`` takes the per-flow caps from a, b, c, d and the sum
+    cap from p, r, e, f; ``corner_points`` uses all twelve;
+    ``genie_expand`` pays for its widening with r (at T2) and p (at R1).
+    In the oracle, ``verify_operator_dims`` takes the ranks of s11, s12
+    and s22 from (a, b), (e, f) and (c, d), the nullity of s12 from p, e,
+    f and the codimension of range(s11) from u, a, b; ``zf_case_applies``
+    uses a, b, d, e, f, p, q and u.
+
+    Endpoints are scaled to the lcm of their denominators and lengths to
+    the lcm of theirs, so every product is an integer over their product k.
+    Only the two overlaps are swept; each difference is |A| - |A & B|.
+    """
+    sets = (g.t11, g.r11, g.t22, g.r22, g.t12, g.r12)
+    den = 1
+    for ds in sets:
+        for lo, hi in ds.intervals:
+            if den % lo.denominator:
+                den = lcm(den, lo.denominator)
+            if den % hi.denominator:
+                den = lcm(den, hi.denominator)
+    t11, r11, t22, r22, t12, r12 = [_scaled(ds, den) for ds in sets]
+    L = g.lengths
+    lengths = (L.l_t1, L.l_r1, L.l_t2, L.l_r2)
+    scale = 1
+    for x in lengths:
+        if scale % x.denominator:
+            scale = lcm(scale, x.denominator)
+    lt1, lr1, lt2, lr2 = [
+        x.numerator * (scale // x.denominator) for x in lengths
+    ]
+    w_r11, w_t22, w_t12, w_r12 = (
+        _width(r11), _width(t22), _width(t12), _width(r12)
+    )
+    w_t = _overlap(t22, t12)
+    w_r = _overlap(r11, r12)
+    return LinkProducts(
+        scale * den,
+        lt1 * _width(t11),
+        lr1 * w_r11,
+        lt2 * w_t22,
+        lr2 * _width(r22),
+        lt2 * w_t12,
+        lr1 * w_r12,
+        lt2 * (w_t22 - w_t),
+        lt2 * w_t,
+        lr1 * (w_r11 - w_r),
+        lr1 * w_r,
+        lr1 * (w_r12 - w_r),
+        lt2 * (w_t12 - w_t),
+    )
+
+
 def fd_caps(g: ScatteringGeometry) -> tuple[Fraction, Fraction, Fraction]:
     """Per-flow and sum dimension caps of the full-duplex region.
 
@@ -160,15 +272,30 @@ def fd_caps(g: ScatteringGeometry) -> tuple[Fraction, Fraction, Fraction]:
     capped by the interference-free slack on both base-station arrays plus
     the larger of the two backscatter loads.
     """
-    L = g.lengths
-    d1_max = 2 * min(L.l_t1 * g.t11.measure(), L.l_r1 * g.r11.measure())
-    d2_max = 2 * min(L.l_t2 * g.t22.measure(), L.l_r2 * g.r22.measure())
-    dsum_max = (
-        2 * L.l_t2 * (g.t22 - g.t12).measure()
-        + 2 * L.l_r1 * (g.r11 - g.r12).measure()
-        + 2 * max(L.l_t2 * g.t12.measure(), L.l_r1 * g.r12.measure())
+    k, a, b, c, d, e, f, p, _, r, _, _, _ = link_products(g)
+    return (
+        Fraction(2 * min(a, b), k),
+        Fraction(2 * min(c, d), k),
+        Fraction(2 * (p + r + max(e, f)), k),
     )
-    return d1_max, d2_max, dsum_max
+
+
+def cap_corners(
+    caps: tuple[Fraction, Fraction, Fraction]
+) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Corner pair (p', p'') derived from the caps alone.
+
+    Each corner gives one flow its cap and the other flow what the sum cap
+    leaves, clamped into [0, its own cap].  ``corner_points`` derives the
+    same pair from the geometry; that the two agree is the corner/cap
+    identity.
+    """
+    d1_max, d2_max, dsum_max = caps
+    zero = Fraction(0)
+    return (
+        (d1_max, min(max(dsum_max - d1_max, zero), d2_max)),
+        (min(max(dsum_max - d2_max, zero), d1_max), d2_max),
+    )
 
 
 def corner_points(g: ScatteringGeometry) -> CornerPoints:
@@ -177,41 +304,32 @@ def corner_points(g: ScatteringGeometry) -> CornerPoints:
     p' gives flow 1 its full point-to-point dimension and flow 2 the most
     it can add on top; p'' is the mirror.  Each branch selects whether the
     transmit or the receive end of the maximized flow is the bottleneck
-    (ties go to the first branch), and min{...}^+ clamps at zero.
+    (ties go to the first branch), and max(..., 0) is the positive part.
     """
-    L = g.lengths
-    a = L.l_t1 * g.t11.measure()  # uplink transmit product
-    b = L.l_r1 * g.r11.measure()  # uplink receive product
-    c = L.l_t2 * g.t22.measure()  # downlink transmit product
-    d = L.l_r2 * g.r22.measure()  # downlink receive product
-    e = L.l_t2 * g.t12.measure()  # backscatter load at T2
-    f = L.l_r1 * g.r12.measure()  # backscatter load at R1
-    p = L.l_t2 * (g.t22 - g.t12).measure()
-    q = L.l_t2 * (g.t22 & g.t12).measure()
-    r = L.l_r1 * (g.r11 - g.r12).measure()
-    s = L.l_r1 * (g.r11 & g.r12).measure()
-    u = L.l_r1 * (g.r12 - g.r11).measure()
-    v = L.l_t2 * (g.t12 - g.t22).measure()
+    k, a, b, c, d, e, f, p, q, r, s, u, v = link_products(g)
 
     d1_prime = 2 * min(a, b)
     if a >= b:
-        d_t2 = 2 * p + 2 * _pos(min(q, _pos(e - f) + u))
+        d_t2 = 2 * p + 2 * max(min(q, max(e - f, 0) + u), 0)
         d2_prime = min(d_t2, 2 * d)
     else:
         # a < b leaves slack at R1; the interference budget grows by the
         # receive-side slack not already covered by spare backscatter room.
-        delta_t2 = 2 * p + 2 * min(q, e - _pos(a - (r + _pos(f - e))))
+        delta_t2 = 2 * p + 2 * min(q, e - max(a - (r + max(f - e, 0)), 0))
         d2_prime = min(delta_t2, 2 * d)
 
     d2_double = 2 * min(c, d)
     if d >= c:
-        d_r1 = 2 * r + 2 * _pos(min(s, _pos(f - e) + v))
+        d_r1 = 2 * r + 2 * max(min(s, max(f - e, 0) + v), 0)
         d1_double = min(2 * a, d_r1)
     else:
-        delta_r1 = 2 * r + 2 * min(s, f - _pos(d - (p + _pos(e - f))))
+        delta_r1 = 2 * r + 2 * min(s, f - max(d - (p + max(e - f, 0)), 0))
         d1_double = min(2 * a, delta_r1)
 
-    return CornerPoints((d1_prime, d2_prime), (d1_double, d2_double))
+    return CornerPoints(
+        (Fraction(d1_prime, k), Fraction(d2_prime, k)),
+        (Fraction(d1_double, k), Fraction(d2_double, k)),
+    )
 
 
 def region_from_caps(
@@ -295,9 +413,15 @@ def genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
         raise DegenerateGeometryError(
             "expansion needs nonzero-measure scattering unions on both sides"
         )
+    lp = link_products(g)
+    t_width, r_width = t_union.measure(), r_union.measure()
     L = g.lengths
-    l_t2 = L.l_t2 + L.l_r1 * (g.r11 - g.r12).measure() / t_union.measure()
-    l_r1 = L.l_r1 + L.l_t2 * (g.t22 - g.t12).measure() / r_union.measure()
+    l_t2 = L.l_t2 + Fraction(
+        lp.r * t_width.denominator, lp.k * t_width.numerator
+    )
+    l_r1 = L.l_r1 + Fraction(
+        lp.p * r_width.denominator, lp.k * r_width.numerator
+    )
     return ScatteringGeometry(
         t11=g.t11,
         r11=r_union,

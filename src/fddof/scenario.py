@@ -8,16 +8,17 @@ floats, so a round trip through a file preserves every endpoint exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
 from .intervals import DirectionSet, DomainError, MalformedIntervalError
+from .oracle import DEFAULT_RANK_TOL
 from .regions import ArrayHalfLengths, ScatteringGeometry
 
 DEFAULT_SEEDS = 20
-DEFAULT_RANK_TOL = 1e-9
 
 _LENGTH_KEYS = ("l_t1", "l_r1", "l_t2", "l_r2")
 _INTERVAL_KEYS = ("t11", "r11", "t22", "r22", "t12", "r12")
@@ -137,11 +138,19 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
             raise SchemaError("oracle.seeds", "expected a positive integer")
         rank_tol = block.get("rank_tol", DEFAULT_RANK_TOL)
-        if isinstance(rank_tol, Fraction):
-            rank_tol = float(rank_tol)
-        if not isinstance(rank_tol, (int, float)) or rank_tol <= 0:
+        if isinstance(rank_tol, bool) or not isinstance(
+            rank_tol, (int, float, Fraction)
+        ):
             raise SchemaError("oracle.rank_tol", "expected a positive number")
-        oracle = OracleSettings(seeds=seeds, rank_tol=float(rank_tol))
+        try:
+            rank_tol = float(rank_tol)
+        except OverflowError:
+            raise SchemaError("oracle.rank_tol", "too large") from None
+        if not (math.isfinite(rank_tol) and rank_tol > 0):
+            raise SchemaError(
+                "oracle.rank_tol", "expected a finite positive number"
+            )
+        oracle = OracleSettings(seeds=seeds, rank_tol=rank_tol)
 
     try:
         half_lengths = ArrayHalfLengths(**length_values)

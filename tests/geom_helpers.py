@@ -53,17 +53,22 @@ def random_symmetric_inputs(
     return length, fwd, back
 
 
-def clamped_cap_corners(caps):
-    """Corner pair derived from the caps alone (the identity's other side)."""
-    d1_max, d2_max, dsum_max = caps
-    zero = Fraction(0)
-
-    def clamp(x, hi):
-        return min(max(x, zero), hi)
-
+def reference_link_products(g: ScatteringGeometry) -> tuple[Fraction, ...]:
+    """The products a..v of ``link_products`` by DirectionSet algebra."""
+    L = g.lengths
     return (
-        (d1_max, clamp(dsum_max - d1_max, d2_max)),
-        (clamp(dsum_max - d2_max, d1_max), d2_max),
+        L.l_t1 * g.t11.measure(),
+        L.l_r1 * g.r11.measure(),
+        L.l_t2 * g.t22.measure(),
+        L.l_r2 * g.r22.measure(),
+        L.l_t2 * g.t12.measure(),
+        L.l_r1 * g.r12.measure(),
+        L.l_t2 * (g.t22 - g.t12).measure(),
+        L.l_t2 * (g.t22 & g.t12).measure(),
+        L.l_r1 * (g.r11 - g.r12).measure(),
+        L.l_r1 * (g.r11 & g.r12).measure(),
+        L.l_r1 * (g.r12 - g.r11).measure(),
+        L.l_t2 * (g.t12 - g.t22).measure(),
     )
 
 
@@ -122,6 +127,20 @@ def random_integral_case_geometry(
             continue
         return g
     raise RuntimeError("generator failed to satisfy the case conditions")
+
+
+_oracle_geometries = None
+
+
+def oracle_geometry_set():
+    """Shared set of >=100 integral case geometries for the oracle criteria."""
+    global _oracle_geometries
+    if _oracle_geometries is None:
+        rng = random.Random(0xFDD0F)
+        _oracle_geometries = [
+            random_integral_case_geometry(rng, max_dim=64) for _ in range(100)
+        ]
+    return _oracle_geometries
 
 
 def random_integral_geometry(

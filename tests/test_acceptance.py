@@ -15,6 +15,7 @@ import pytest
 from fddof import (
     DirectionSet,
     RegionRelation,
+    cap_corners,
     corner_points,
     fd_caps,
     fd_region,
@@ -29,10 +30,9 @@ from fddof import (
     zero_forcing_corner,
 )
 from geom_helpers import (
-    clamped_cap_corners,
+    oracle_geometry_set,
     random_direction_set,
     random_geometry,
-    random_integral_case_geometry,
     random_symmetric_inputs,
 )
 
@@ -76,20 +76,6 @@ def unit_symmetric(overlap):
     return make_symmetric(1, fwd, back)
 
 
-_oracle_geometries = None
-
-
-def oracle_geometry_set():
-    """Shared set of >=100 integral geometries for the oracle criteria."""
-    global _oracle_geometries
-    if _oracle_geometries is None:
-        rng = random.Random(0xFDD0F)
-        _oracle_geometries = [
-            random_integral_case_geometry(rng, max_dim=64) for _ in range(100)
-        ]
-    return _oracle_geometries
-
-
 def test_criterion_1_overlap_family_regions():
     expected = {
         F(1): ((F(2), F(0)), (F(0), F(2))),
@@ -112,7 +98,7 @@ def test_criterion_2_corners_equal_cap_intersections():
         for i in range(10_000):
             g = random_geometry(rng, max_fragments=3, den=64)
             cp = corner_points(g)
-            want_prime, want_double = clamped_cap_corners(fd_caps(g))
+            want_prime, want_double = cap_corners(fd_caps(g))
             assert cp.p_prime == want_prime, (i, g)
             assert cp.p_double_prime == want_double, (i, g)
 
@@ -131,7 +117,7 @@ def test_criterion_4_zero_forcing_corner():
     geometries = oracle_geometry_set()
     with criterion(4, "zero-forcing corner + leakage", 120.0):
         for gi, g in enumerate(geometries):
-            target, _ = clamped_cap_corners(fd_caps(g))
+            target, _ = cap_corners(fd_caps(g))
             want = (int(target[0]), int(target[1]))
             for seed in range(SEEDS_PER_GEOMETRY):
                 result = zero_forcing_corner(sample_channel(g, seed), g)

@@ -13,6 +13,7 @@ from fddof import (
     RankToleranceWarning,
     ScatteringGeometry,
     allocate_basis,
+    cap_corners,
     corner_points,
     corrupt_support,
     fd_caps,
@@ -27,9 +28,10 @@ from fddof import (
     zf_case_applies,
 )
 from geom_helpers import (
-    clamped_cap_corners,
+    oracle_geometry_set,
     random_integral_case_geometry,
     random_integral_geometry,
+    reference_link_products,
 )
 
 
@@ -253,7 +255,7 @@ class TestZeroForcing:
         rng = random.Random(31337)
         for _ in range(20):
             g = random_integral_case_geometry(rng, max_dim=48)
-            target = clamped_cap_corners(fd_caps(g))[0]
+            target = cap_corners(fd_caps(g))[0]
             result = zero_forcing_corner(sample_channel(g, seed=9), g)
             assert result.corner == (int(target[0]), int(target[1]))
             assert result.max_leakage < 1e-8
@@ -262,7 +264,7 @@ class TestZeroForcing:
         rng = random.Random(999)
         for _ in range(25):
             g = random_integral_geometry(rng, max_dim=48)
-            target = clamped_cap_corners(fd_caps(g))[0]
+            target = cap_corners(fd_caps(g))[0]
             result = zero_forcing_corner(sample_channel(g, seed=3), g)
             assert result.d1 == int(target[0])
             assert result.d2 <= int(target[1])
@@ -273,6 +275,32 @@ class TestZeroForcing:
         cp = corner_points(g)
         result = zero_forcing_corner(sample_channel(g, seed=4), g)
         assert result.corner == (int(cp.p_prime[0]), int(cp.p_prime[1]))
+
+
+def test_expectations_match_direction_set_algebra():
+    """Expected dims and the case test, against the DirectionSet products,
+    on the criterion-3/4 set plus integral geometries outside the case."""
+    rng = random.Random(811)
+    outside = [random_integral_geometry(rng, max_dim=64) for _ in range(100)]
+    seen_case = set()
+    for g in oracle_geometry_set() + outside:
+        a, b, c, d, e, f, p, q, r, s, u, v = reference_link_products(g)
+        report = verify_operator_dims(sample_channel(g, seed=0), g)
+        assert [check.expected for check in report.checks] == [
+            2 * min(a, b),
+            2 * min(e, f),
+            2 * min(c, d),
+            2 * p + 2 * max(e - f, 0),
+            2 * u + 2 * max(b - a, 0),
+        ]
+        budget = max(e - f, 0) + u
+        case = (
+            a >= b and e >= f and q >= 2 * budget
+            and 2 * p + 2 * min(q, budget) <= 2 * d
+        )
+        assert zf_case_applies(g) is case
+        seen_case.add(case)
+    assert seen_case == {True, False}
 
 
 class TestAllocationInvariants:

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fddof import (
@@ -15,18 +15,20 @@ from fddof import (
     DomainError,
     RegionRelation,
     ScatteringGeometry,
+    cap_corners,
     corner_points,
     fd_caps,
     fd_region,
     genie_expand,
     hd_region,
     is_rectangular,
+    link_products,
     make_fully_spread,
     make_symmetric,
     region_from_caps,
     region_relate,
 )
-from geom_helpers import clamped_cap_corners
+from geom_helpers import reference_link_products
 
 GRID = 16
 
@@ -71,6 +73,70 @@ def geometries(draw):
     sets = [draw(direction_sets()) for _ in range(6)]
     lens = ArrayHalfLengths(*(draw(lengths_st) for _ in range(4)))
     return ScatteringGeometry(*sets, lengths=lens)
+
+
+@st.composite
+def angle_sets(draw):
+    """Angle-domain supports: non-grid 12-digit cosine endpoints."""
+    angles = st.fractions(0, 180, max_denominator=7)
+    pairs = draw(st.lists(st.tuples(angles, angles), max_size=3))
+    return DirectionSet.from_angles([sorted(pair) for pair in pairs])
+
+
+@st.composite
+def fine_sets(draw):
+    """Endpoints with unrelated denominators; adjacent pairs may touch."""
+    points = draw(
+        st.lists(
+            st.fractions(-1, 1, max_denominator=1000),
+            max_size=6,
+            unique=True,
+        )
+    )
+    points.sort()
+    return DirectionSet(zip(points[::2], points[1::2]))
+
+
+@st.composite
+def mixed_geometries(draw):
+    sets = st.one_of(direction_sets(), angle_sets(), fine_sets())
+    lens = st.one_of(
+        lengths_st, st.just(F(0)), st.fractions(0, 8, max_denominator=99)
+    )
+    return ScatteringGeometry(
+        *(draw(sets) for _ in range(6)),
+        lengths=ArrayHalfLengths(*(draw(lens) for _ in range(4))),
+    )
+
+
+# -- link products -------------------------------------------------------------
+
+LEFT, RIGHT = ds((-1, F(1, 3))), ds((F(1, 3), 1))
+TOUCHING = ScatteringGeometry(
+    t11=LEFT, r11=RIGHT, t22=LEFT, r22=RIGHT, t12=RIGHT, r12=LEFT,
+    lengths=ArrayHalfLengths(1, F(1, 3), 2, F(5, 7)),
+)
+EMPTY = ScatteringGeometry(
+    *(DirectionSet() for _ in range(6)), lengths=ArrayHalfLengths(1, 1, 1, 1)
+)
+
+
+class TestLinkProducts:
+    @given(mixed_geometries())
+    @example(TOUCHING)
+    @example(EMPTY)
+    @example(make_fully_spread(0, 0))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_direction_set_algebra(self, g):
+        lp = link_products(g)
+        assert lp.k > 0
+        assert all(type(x) is int for x in lp)
+        assert tuple(F(x, lp.k) for x in lp[1:]) == reference_link_products(g)
+
+    def test_touching_supports_do_not_overlap(self):
+        lp = link_products(TOUCHING)
+        assert lp.q == lp.s == 0
+        assert (lp.p, lp.v) == (lp.c, lp.e)
 
 
 # -- caps ----------------------------------------------------------------------
@@ -128,7 +194,7 @@ class TestCornerPoints:
     @settings(max_examples=300)
     def test_corners_equal_cap_intersections(self, g):
         cp = corner_points(g)
-        want_prime, want_double = clamped_cap_corners(fd_caps(g))
+        want_prime, want_double = cap_corners(fd_caps(g))
         assert cp.p_prime == want_prime
         assert cp.p_double_prime == want_double
 

@@ -139,6 +139,34 @@ class TestExitCodes:
     def test_out_of_range_grid_is_5(self, capsys):
         assert main(["sweep", SYMMETRIC, "--grid", "3/2"]) == 5
 
+    @pytest.mark.parametrize(
+        "option", [["--seeds", "0"], ["--seeds", "-3"], ["--rank-tol", "nan"],
+                   ["--rank-tol", "inf"], ["--rank-tol", "0"],
+                   ["--rank-tol", "-1"]],
+    )
+    def test_bad_oracle_option_is_a_usage_error_2(self, option, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", EMPTY_BACK, *option])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert option[0] in captured.err
+        assert "RESULT: PASS" not in captured.out
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e400"]
+    )
+    def test_non_finite_scenario_rank_tol_is_3(self, tmp_path, literal,
+                                               capsys):
+        text = json.dumps(base_scenario_dict())[:-1]
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            text + f', "oracle": {{"rank_tol": {literal}}}}}', encoding="utf-8"
+        )
+        assert main(["verify", str(path), "--auto-rescale"]) == 3
+        captured = capsys.readouterr()
+        assert "oracle.rank_tol" in captured.err
+        assert "RESULT: PASS" not in captured.out
+
     def test_quantization_without_rescale_is_6(self, capsys):
         assert main(["verify", SYMMETRIC, "--seeds", "2"]) == 6
         err = capsys.readouterr().err
