@@ -4,7 +4,9 @@ Exit codes: 0 ok; 1 verification failure; 2 missing file or a usage error
 (argparse: unknown option, missing argument, or an option value its
 validator rejects, such as ``--seeds 0`` or ``--rank-tol nan``); 3 schema
 error; 4 interval/length invariant violation; 5 bad sweep base;
-6 quantization.
+6 quantization; 7 a signal space above the oracle's dimension budget
+(``oracle.MAX_SPACE_DIM`` basis functions), found before any matrix is
+allocated.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from .intervals import DirectionSet, DomainError, MalformedIntervalError
 from .oracle import (
     LEAKAGE_TOL,
+    DimensionBudgetError,
     QuantizationError,
     corrupt_support,
     integer_rescale,
@@ -47,6 +50,7 @@ EXIT_SCHEMA = 3
 EXIT_INVARIANT = 4
 EXIT_SWEEP_BASE = 5
 EXIT_QUANTIZATION = 6
+EXIT_DIMENSION_BUDGET = 7
 
 DEFAULT_GRID = "1,3/4,1/2,1/4,0"
 
@@ -385,6 +389,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_QUANTIZATION
+    except DimensionBudgetError as err:
+        print(f"error: dimension budget: {err}", file=sys.stderr)
+        return EXIT_DIMENSION_BUDGET
 
 
 def run() -> None:

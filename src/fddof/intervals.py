@@ -10,6 +10,7 @@ stacking would corrupt corner-point equalities that must hold exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 import mpmath
@@ -228,6 +229,58 @@ class DirectionSet:
         return DirectionSet(out)
 
 
+def scaled_endpoints(
+    sets: Sequence[DirectionSet],
+) -> tuple[int, list[list[tuple[int, int]]]]:
+    """Every set's endpoints times the lcm ``den`` of their denominators.
+
+    Returns ``den`` and, per set, its intervals as integer pairs; dividing
+    a pair by ``den`` gives back the exact interval.  Exact set algebra on
+    the family then runs on plain integers.
+    """
+    den = 1
+    for ds in sets:
+        for lo, hi in ds.intervals:
+            if den % lo.denominator:
+                den = lcm(den, lo.denominator)
+            if den % hi.denominator:
+                den = lcm(den, hi.denominator)
+    return den, [
+        [
+            (lo.numerator * (den // lo.denominator),
+             hi.numerator * (den // hi.denominator))
+            for lo, hi in ds.intervals
+        ]
+        for ds in sets
+    ]
+
+
+def scaled_atoms(
+    sets: Sequence[DirectionSet],
+) -> tuple[int, list[tuple[int, int]]]:
+    """The atoms of ``refine(sets)`` as integer pairs over one ``den``.
+
+    Every breakpoint opens or closes an interval of some set, and a
+    canonical set never closes one interval and opens the next at the same
+    point, so membership changes at each breakpoint: the atoms are exactly
+    the pieces between consecutive breakpoints that some set covers.
+    """
+    den, scaled = scaled_endpoints(sets)
+    depth: dict[int, int] = {}
+    for intervals in scaled:
+        for lo, hi in intervals:
+            depth[lo] = depth.get(lo, 0) + 1
+            depth[hi] = depth.get(hi, 0) - 1
+    points = sorted(depth)
+    atoms = []
+    cover = 0
+    for lo, hi in zip(points, points[1:]):
+        cover += depth[lo]
+        if cover:
+            atoms.append((lo, hi))
+    return den, atoms
+
+
 def refine(sets: Sequence[DirectionSet]) -> list[DirectionSet]:
     """Coarsest contiguous partition of union(sets) by membership pattern.
 
@@ -236,15 +289,8 @@ def refine(sets: Sequence[DirectionSet]) -> list[DirectionSet]:
     ``refine([a])`` returns a's connected components.  Atoms are pairwise
     disjoint and cover exactly the union of the inputs.
     """
-    points = sorted({p for ds in sets for iv in ds.intervals for p in iv})
-    runs: list[list] = []
-    for lo, hi in zip(points, points[1:]):
-        mid = (lo + hi) / 2
-        signature = tuple(mid in ds for ds in sets)
-        if not any(signature):
-            continue
-        if runs and runs[-1][1] == lo and runs[-1][2] == signature:
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi, signature])
-    return [DirectionSet([(lo, hi)]) for lo, hi, _ in runs]
+    den, atoms = scaled_atoms(sets)
+    return [
+        DirectionSet([(Fraction(lo, den), Fraction(hi, den))])
+        for lo, hi in atoms
+    ]

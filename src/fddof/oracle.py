@@ -3,11 +3,13 @@
 Each signal space is identified with coordinates over one orthonormal basis
 function per resolvable direction: a refinement atom of width w under an
 array of half-length L contributes exactly 2*L*w basis functions, which must
-be an integer (apply integer_rescale first if it is not).  The scattering
-operators become complex matrices whose support is exactly the product of
-the receive and transmit scattering intervals, with free entries drawn from
-a standard complex normal so that every fully-supported submatrix has
-maximal rank with probability one.
+be an integer (apply integer_rescale first if it is not).  Atoms, their
+dimensions and their support masks are computed exactly on integer
+endpoints over one denominator per space.  The scattering operators become
+complex matrices whose support is exactly the product of the receive and
+transmit scattering intervals, with free entries drawn from a standard
+complex normal so that every fully-supported submatrix has maximal rank
+with probability one.
 """
 
 from __future__ import annotations
@@ -19,13 +21,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intervals import DirectionSet, refine
+from .intervals import DirectionSet, scaled_atoms
 from .regions import ScatteringGeometry, link_products
 
 DEFAULT_RANK_TOL = 1e-9
 
 # relative interference leakage the zero-forcing construction must beat
 LEAKAGE_TOL = 1e-8
+
+# Largest signal space the oracle will sample, in basis functions.  Each of
+# the three channel matrices is at most this square in complex128, so they
+# take at most 3 * 2048**2 * 16 B = 192 MiB together.
+MAX_SPACE_DIM = 2048
 
 
 class QuantizationError(ValueError):
@@ -43,6 +50,18 @@ class QuantizationError(ValueError):
             f"space {space}: atom [{lo}, {hi}) has non-integral dimension "
             f"{dim} (space total {total}); scaling all array lengths by "
             f"{suggested_scale} makes every atom dimension integral"
+        )
+
+
+class DimensionBudgetError(ValueError):
+    """A signal space needs more basis functions than MAX_SPACE_DIM."""
+
+    def __init__(self, space: str, total: int):
+        self.space = space
+        self.total = total
+        super().__init__(
+            f"space {space} needs {total} basis functions, above the budget "
+            f"of {MAX_SPACE_DIM} per space"
         )
 
 
@@ -83,21 +102,56 @@ def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> in
 
 @dataclass(frozen=True)
 class SpaceAllocation:
-    """Basis-function counts per refinement atom of one signal space."""
+    """Basis-function counts per refinement atom of one signal space.
+
+    Atom i is the interval [lo / den, hi / den) for (lo, hi) = bounds[i],
+    left to right, and carries dims[i] basis functions.
+    """
 
     label: str
     length: Fraction
-    atoms: tuple[DirectionSet, ...]
+    den: int
+    bounds: tuple[tuple[int, int], ...]
     dims: tuple[int, ...]
+
+    @property
+    def atoms(self) -> tuple[DirectionSet, ...]:
+        return tuple(_atom(lo, hi, self.den) for lo, hi in self.bounds)
 
     @property
     def total(self) -> int:
         return sum(self.dims)
 
     def mask_within(self, support: DirectionSet) -> np.ndarray:
-        """Boolean per basis function: True when its atom lies in ``support``."""
-        flags = [atom.issubset(support) for atom in self.atoms]
+        """Boolean per basis function: True when its atom lies in ``support``.
+
+        Support intervals are disjoint and never touch, so an atom lies in
+        the support exactly when it lies in the first support interval
+        that ends after the atom starts.
+        """
+        den = self.den
+        intervals = support.intervals
+        flags = []
+        j = 0
+        for lo, hi in self.bounds:
+            while j < len(intervals) and (
+                intervals[j][1].numerator * den
+                <= lo * intervals[j][1].denominator
+            ):
+                j += 1
+            if j < len(intervals):
+                slo, shi = intervals[j]
+                flags.append(
+                    slo.numerator * den <= lo * slo.denominator
+                    and hi * shi.denominator <= shi.numerator * den
+                )
+            else:
+                flags.append(False)
         return np.repeat(np.asarray(flags, dtype=bool), self.dims)
+
+
+def _atom(lo: int, hi: int, den: int) -> DirectionSet:
+    return DirectionSet([(Fraction(lo, den), Fraction(hi, den))])
 
 
 @dataclass(frozen=True)
@@ -122,8 +176,11 @@ def integer_scale(g: ScatteringGeometry) -> int:
     """Least positive integer length multiplier making all atom dims integral."""
     scale = 1
     for _, length, family in _space_families(g):
-        for atom in refine(family):
-            scale = math.lcm(scale, (2 * length * atom.measure()).denominator)
+        den, bounds = scaled_atoms(family)
+        unit = length.denominator * den
+        twice = 2 * length.numerator
+        for lo, hi in bounds:
+            scale = math.lcm(scale, unit // math.gcd(twice * (hi - lo), unit))
     return scale
 
 
@@ -148,19 +205,27 @@ def allocate_basis(g: ScatteringGeometry) -> BasisAllocation:
     """
     spaces = {}
     for label, length, family in _space_families(g):
-        atoms = tuple(refine(family))
+        # an atom of width (hi - lo) / den carries 2 * length * width
+        # basis functions: an integer over unit
+        den, bounds = scaled_atoms(family)
+        unit = length.denominator * den
+        twice = 2 * length.numerator
         dims = []
-        for atom in atoms:
-            value = 2 * length * atom.measure()
-            if value.denominator != 1:
-                total = 2 * length * sum(
-                    (a.measure() for a in atoms), Fraction(0)
-                )
+        for lo, hi in bounds:
+            dim, rest = divmod(twice * (hi - lo), unit)
+            if rest:
+                total = twice * sum(b - a for a, b in bounds)
                 raise QuantizationError(
-                    label, atom, value, total, integer_scale(g)
+                    label,
+                    _atom(lo, hi, den),
+                    Fraction(twice * (hi - lo), unit),
+                    Fraction(total, unit),
+                    integer_scale(g),
                 )
-            dims.append(int(value))
-        spaces[label] = SpaceAllocation(label, length, atoms, tuple(dims))
+            dims.append(dim)
+        spaces[label] = SpaceAllocation(
+            label, length, den, tuple(bounds), tuple(dims)
+        )
     return BasisAllocation(**spaces)
 
 
@@ -199,9 +264,13 @@ def sample_channel(
     """Draw the three block-supported matrices for an integral geometry.
 
     The matrices are drawn in a fixed order from one generator, so a given
-    seed reproduces them bit for bit.
+    seed reproduces them bit for bit.  Raises DimensionBudgetError, before
+    anything is allocated, when a space exceeds MAX_SPACE_DIM.
     """
     alloc = allocate_basis(g)
+    for space in (alloc.t1, alloc.t2, alloc.r1, alloc.r2):
+        if space.total > MAX_SPACE_DIM:
+            raise DimensionBudgetError(space.label, space.total)
     rng = np.random.default_rng(seed)
     s11 = _sample_block(rng, alloc.r1, g.r11, alloc.t1, g.t11)
     s12 = _sample_block(rng, alloc.r1, g.r12, alloc.t2, g.t12)
@@ -352,12 +421,13 @@ def zero_forcing_corner(
     spectral norm of s12.
     """
     if g is not None:
-        alloc = allocate_basis(g)
-        if (alloc.r1.total, alloc.t1.total) != ch.s11.shape or (
-            alloc.r2.total,
-            alloc.t2.total,
-        ) != ch.s22.shape:
-            raise ValueError("channel was not sampled from this geometry")
+        # space totals are 2 * (length-weighted union measure), over k
+        k, a, b, c, d, _, _, _, _, _, _, u, v = link_products(g)
+        t1, r1, t2, r2 = 2 * a, 2 * (b + u), 2 * (c + v), 2 * d
+        shapes = ((r1, t1), (r1, t2), (r2, t2))
+        for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
+            if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):
+                raise ValueError("channel was not sampled from this geometry")
 
     tol = ch.rank_tol
     n2 = ch.s12.shape[1]

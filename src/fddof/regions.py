@@ -15,7 +15,13 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .intervals import DirectionSet, DomainError, Rational, _frac
+from .intervals import (
+    DirectionSet,
+    DomainError,
+    Rational,
+    _frac,
+    scaled_endpoints,
+)
 
 
 class DegenerateGeometryError(ValueError):
@@ -171,15 +177,6 @@ class LinkProducts(NamedTuple):
     v: int  # l_t2 |t12 - t22|
 
 
-def _scaled(ds: DirectionSet, den: int) -> list[tuple[int, int]]:
-    """Interval endpoints of ds times den, as integers."""
-    return [
-        (lo.numerator * (den // lo.denominator),
-         hi.numerator * (den // hi.denominator))
-        for lo, hi in ds.intervals
-    ]
-
-
 def _width(iv: list[tuple[int, int]]) -> int:
     total = 0
     for lo, hi in iv:
@@ -225,15 +222,9 @@ def link_products(g: ScatteringGeometry) -> LinkProducts:
     the lcm of theirs, so every product is an integer over their product k.
     Only the two overlaps are swept; each difference is |A| - |A & B|.
     """
-    sets = (g.t11, g.r11, g.t22, g.r22, g.t12, g.r12)
-    den = 1
-    for ds in sets:
-        for lo, hi in ds.intervals:
-            if den % lo.denominator:
-                den = lcm(den, lo.denominator)
-            if den % hi.denominator:
-                den = lcm(den, hi.denominator)
-    t11, r11, t22, r22, t12, r12 = [_scaled(ds, den) for ds in sets]
+    den, (t11, r11, t22, r22, t12, r12) = scaled_endpoints(
+        (g.t11, g.r11, g.t22, g.r22, g.t12, g.r12)
+    )
     L = g.lengths
     lengths = (L.l_t1, L.l_r1, L.l_t2, L.l_r2)
     scale = 1

@@ -1,13 +1,19 @@
-"""Deterministic random-geometry generators shared across the test suite."""
+"""Random-geometry generators, hypothesis strategies and Fraction
+reference implementations shared across the test suite."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
+from hypothesis import strategies as st
 
 from fddof import (
     ArrayHalfLengths,
     DirectionSet,
+    QuantizationError,
     ScatteringGeometry,
     allocate_basis,
     integer_rescale,
@@ -70,6 +76,68 @@ def reference_link_products(g: ScatteringGeometry) -> tuple[Fraction, ...]:
         L.l_r1 * (g.r12 - g.r11).measure(),
         L.l_t2 * (g.t12 - g.t22).measure(),
     )
+
+
+def reference_refine(sets) -> list[DirectionSet]:
+    """``refine`` by sorting Fraction breakpoints and testing midpoints."""
+    points = sorted({p for ds in sets for iv in ds.intervals for p in iv})
+    runs: list[list] = []
+    for lo, hi in zip(points, points[1:]):
+        mid = (lo + hi) / 2
+        signature = tuple(mid in ds for ds in sets)
+        if not any(signature):
+            continue
+        if runs and runs[-1][1] == lo and runs[-1][2] == signature:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, signature])
+    return [DirectionSet([(lo, hi)]) for lo, hi, _ in runs]
+
+
+def space_families(g: ScatteringGeometry) -> dict:
+    """Label -> (array half-length, the supports spanning that space)."""
+    L = g.lengths
+    return {
+        "t1": (L.l_t1, [g.t11]),
+        "t2": (L.l_t2, [g.t22, g.t12]),
+        "r1": (L.l_r1, [g.r11, g.r12]),
+        "r2": (L.l_r2, [g.r22]),
+    }
+
+
+def reference_integer_scale(g: ScatteringGeometry) -> int:
+    """``integer_scale`` from Fraction atom measures."""
+    scale = 1
+    for length, family in space_families(g).values():
+        for atom in reference_refine(family):
+            scale = math.lcm(scale, (2 * length * atom.measure()).denominator)
+    return scale
+
+
+def reference_allocation(g: ScatteringGeometry) -> dict:
+    """``allocate_basis`` from Fraction atom measures: label -> (atoms, dims).
+
+    Raises the QuantizationError ``allocate_basis`` must raise, for the
+    first non-integral atom in space order t1, t2, r1, r2.
+    """
+    spaces = {}
+    for label, (length, family) in space_families(g).items():
+        atoms = tuple(reference_refine(family))
+        dims = [2 * length * atom.measure() for atom in atoms]
+        for atom, dim in zip(atoms, dims):
+            if dim.denominator != 1:
+                raise QuantizationError(
+                    label, atom, dim, sum(dims, Fraction(0)),
+                    reference_integer_scale(g),
+                )
+        spaces[label] = (atoms, tuple(int(dim) for dim in dims))
+    return spaces
+
+
+def reference_mask(atoms, dims, support: DirectionSet) -> np.ndarray:
+    """``mask_within`` by DirectionSet differences."""
+    flags = [atom.issubset(support) for atom in atoms]
+    return np.repeat(np.asarray(flags, dtype=bool), dims)
 
 
 def _subset_slice(rng: random.Random, base: DirectionSet) -> DirectionSet:
@@ -152,3 +220,79 @@ def random_integral_geometry(
         if max_space_dim(g) <= max_dim:
             return g
     raise RuntimeError("generator failed to bound the space dimensions")
+
+
+# -- hypothesis strategies -----------------------------------------------------
+
+GRID = 16
+
+
+@st.composite
+def direction_sets(draw, max_fragments=3):
+    k = draw(st.integers(0, max_fragments))
+    if k == 0:
+        return DirectionSet()
+    points = draw(
+        st.lists(
+            st.integers(-GRID, GRID), min_size=2 * k, max_size=2 * k, unique=True
+        )
+    )
+    points.sort()
+    return DirectionSet(
+        [
+            (Fraction(points[2 * i], GRID), Fraction(points[2 * i + 1], GRID))
+            for i in range(k)
+        ]
+    )
+
+
+lengths_st = st.integers(0, 4 * GRID).map(lambda n: Fraction(n, GRID))
+
+
+@st.composite
+def angle_sets(draw):
+    """Angle-domain supports: non-grid 12-digit cosine endpoints."""
+    angles = st.fractions(0, 180, max_denominator=7)
+    pairs = draw(st.lists(st.tuples(angles, angles), max_size=3))
+    return DirectionSet.from_angles([sorted(pair) for pair in pairs])
+
+
+@st.composite
+def fine_sets(draw):
+    """Endpoints with unrelated denominators."""
+    points = draw(
+        st.lists(
+            st.fractions(-1, 1, max_denominator=1000),
+            max_size=6,
+            unique=True,
+        )
+    )
+    points.sort()
+    return DirectionSet(zip(points[::2], points[1::2]))
+
+
+@st.composite
+def mixed_geometries(draw):
+    """Grid, angle-domain and fine supports; grid, zero and non-integral
+    lengths (with denominators up to 99)."""
+    sets = st.one_of(direction_sets(), angle_sets(), fine_sets())
+    lens = st.one_of(
+        lengths_st, st.just(Fraction(0)),
+        st.fractions(0, 8, max_denominator=99),
+    )
+    return ScatteringGeometry(
+        *(draw(sets) for _ in range(6)),
+        lengths=ArrayHalfLengths(*(draw(lens) for _ in range(4))),
+    )
+
+
+_LEFT = DirectionSet([(-1, Fraction(1, 3))])
+_RIGHT = DirectionSet([(Fraction(1, 3), 1)])
+# every two-set family touches at 1/3; the lengths are non-integral
+TOUCHING = ScatteringGeometry(
+    t11=_LEFT, r11=_RIGHT, t22=_LEFT, r22=_RIGHT, t12=_RIGHT, r12=_LEFT,
+    lengths=ArrayHalfLengths(1, Fraction(1, 3), 2, Fraction(5, 7)),
+)
+EMPTY = ScatteringGeometry(
+    *(DirectionSet() for _ in range(6)), lengths=ArrayHalfLengths(1, 1, 1, 1)
+)

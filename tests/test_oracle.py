@@ -1,13 +1,17 @@
 """Tests for the discretized-channel oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from fddof import (
     ArrayHalfLengths,
+    DimensionBudgetError,
     DirectionSet,
     QuantizationError,
     RankToleranceWarning,
@@ -19,20 +23,33 @@ from fddof import (
     fd_caps,
     integer_rescale,
     integer_scale,
+    load_scenario,
     make_fully_spread,
     make_symmetric,
     numerical_rank,
+    refine,
     sample_channel,
     verify_operator_dims,
     zero_forcing_corner,
     zf_case_applies,
 )
+from fddof.oracle import MAX_SPACE_DIM
 from geom_helpers import (
+    EMPTY,
+    TOUCHING,
+    mixed_geometries,
     oracle_geometry_set,
     random_integral_case_geometry,
     random_integral_geometry,
+    reference_allocation,
+    reference_integer_scale,
     reference_link_products,
+    reference_mask,
+    reference_refine,
+    space_families,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def ds(*pairs):
@@ -243,6 +260,18 @@ class TestZeroForcing:
         with pytest.raises(ValueError):
             zero_forcing_corner(ch, make_fully_spread(2, 1))
 
+    @pytest.mark.parametrize("name", ["s11", "s12", "s22"])
+    def test_each_mis_shaped_matrix_is_rejected(self, name):
+        # spaces r1=10, t1=4, t2=5, r2=4: every transpose changes a shape
+        g = replace(
+            symmetric_overlap(2, F(3, 4)),
+            lengths=ArrayHalfLengths(2, 4, 2, 2),
+        )
+        ch = sample_channel(g, seed=0)
+        bad = replace(ch, **{name: getattr(ch, name).T})
+        with pytest.raises(ValueError, match="not sampled from this geometry"):
+            zero_forcing_corner(bad, g)
+
     def test_case_conditions_hold_for_the_showcases(self):
         assert zf_case_applies(symmetric_overlap(2, F(3, 4)))
         assert zf_case_applies(no_interference_geometry())
@@ -342,3 +371,117 @@ class TestAllocationInvariants:
                 assert not mat[~mask].any()
                 # continuous draws are nonzero almost surely
                 assert (mat[mask] != 0).all()
+
+
+class TestDimensionBudget:
+    def test_space_at_the_budget_is_sampled(self):
+        g = replace(
+            no_interference_geometry(),
+            lengths=ArrayHalfLengths(MAX_SPACE_DIM // 2, 1, 1, 1),
+        )
+        assert sample_channel(g, seed=0).s11.shape == (2, MAX_SPACE_DIM)
+
+    def test_space_above_the_budget_is_refused(self):
+        g = replace(
+            no_interference_geometry(),
+            lengths=ArrayHalfLengths(F(MAX_SPACE_DIM + 1, 2), 1, 1, 1),
+        )
+        with pytest.raises(DimensionBudgetError) as info:
+            sample_channel(g, seed=0)
+        err = info.value
+        assert (err.space, err.total) == ("t1", MAX_SPACE_DIM + 1)
+
+
+# -- integer allocation against the Fraction reference ------------------------------
+
+def assert_allocation_matches_reference(g):
+    """refine, allocate_basis (atoms, dims, totals, masks, QuantizationError)
+    and integer_scale equal the Fraction-midpoint reference on g."""
+    families = space_families(g)
+    for _, family in families.values():
+        assert refine(family) == reference_refine(family)
+    assert integer_scale(g) == reference_integer_scale(g)
+    try:
+        expected = reference_allocation(g)
+    except QuantizationError as want:
+        with pytest.raises(QuantizationError) as info:
+            allocate_basis(g)
+        got = info.value
+        assert (got.space, got.atom, got.dim, got.total,
+                got.suggested_scale, str(got)) == (
+            want.space, want.atom, want.dim, want.total,
+            want.suggested_scale, str(want))
+        return
+    alloc = allocate_basis(g)
+    supports = (g.t11, g.r11, g.t22, g.r22, g.t12, g.r12)
+    for label, (atoms, dims) in expected.items():
+        space = getattr(alloc, label)
+        assert (space.label, space.length) == (label, families[label][0])
+        assert space.atoms == atoms
+        assert space.dims == dims
+        assert space.total == sum(dims)
+        # family members contain or miss each atom; the other supports
+        # may cut one, which must read as not contained
+        per_atom = replace(space, dims=(1,) * len(dims))
+        for support in supports:
+            assert np.array_equal(
+                per_atom.mask_within(support),
+                reference_mask(atoms, [1] * len(atoms), support),
+            )
+            if space.total <= MAX_SPACE_DIM:
+                assert np.array_equal(
+                    space.mask_within(support),
+                    reference_mask(atoms, dims, support),
+                )
+
+
+class TestIntegerAllocation:
+    @given(mixed_geometries())
+    @example(TOUCHING)
+    @example(EMPTY)
+    @example(make_fully_spread(0, 0))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fraction_reference(self, g):
+        assert_allocation_matches_reference(g)
+        assert_allocation_matches_reference(integer_rescale(g)[0])
+
+    def test_equals_fraction_reference_on_fixed_sets(self):
+        scenarios = [
+            load_scenario(path).geometry
+            for path in sorted(SCENARIOS.glob("*.json"))
+        ]
+        rescaled = [integer_rescale(g)[0] for g in scenarios]
+        for g in oracle_geometry_set() + scenarios + rescaled:
+            assert_allocation_matches_reference(g)
+
+    def test_channels_equal_draws_through_reference_masks(self):
+        """The seed-reproducibility contract, on the criterion-3/4 set."""
+        for seed, g in enumerate(oracle_geometry_set()):
+            ch = sample_channel(g, seed)
+            spaces = reference_allocation(g)
+            rng = np.random.default_rng(seed)
+            blocks = (
+                ("r1", g.r11, "t1", g.t11),
+                ("r1", g.r12, "t2", g.t12),
+                ("r2", g.r22, "t2", g.t22),
+            )
+            for name, (row, row_support, col, col_support) in zip(
+                ("s11", "s12", "s22"), blocks
+            ):
+                row_atoms, row_dims = spaces[row]
+                col_atoms, col_dims = spaces[col]
+                want = np.zeros(
+                    (sum(row_dims), sum(col_dims)), dtype=np.complex128
+                )
+                rows = np.flatnonzero(
+                    reference_mask(row_atoms, row_dims, row_support)
+                )
+                cols = np.flatnonzero(
+                    reference_mask(col_atoms, col_dims, col_support)
+                )
+                if rows.size and cols.size:
+                    shape = (rows.size, cols.size)
+                    real = rng.standard_normal(shape)
+                    imag = rng.standard_normal(shape)
+                    want[np.ix_(rows, cols)] = (real + 1j * imag) / np.sqrt(2)
+                assert np.array_equal(getattr(ch, name), want)

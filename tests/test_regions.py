@@ -28,9 +28,15 @@ from fddof import (
     region_from_caps,
     region_relate,
 )
-from geom_helpers import reference_link_products
-
-GRID = 16
+from geom_helpers import (
+    EMPTY,
+    GRID,
+    TOUCHING,
+    direction_sets,
+    lengths_st,
+    mixed_geometries,
+    reference_link_products,
+)
 
 
 def ds(*pairs):
@@ -47,79 +53,13 @@ def symmetric_overlap(length, overlap):
 # -- strategies ---------------------------------------------------------------
 
 @st.composite
-def direction_sets(draw, max_fragments=3):
-    k = draw(st.integers(0, max_fragments))
-    if k == 0:
-        return DirectionSet()
-    points = draw(
-        st.lists(
-            st.integers(-GRID, GRID), min_size=2 * k, max_size=2 * k, unique=True
-        )
-    )
-    points.sort()
-    return DirectionSet(
-        [
-            (F(points[2 * i], GRID), F(points[2 * i + 1], GRID))
-            for i in range(k)
-        ]
-    )
-
-
-lengths_st = st.integers(0, 4 * GRID).map(lambda n: F(n, GRID))
-
-
-@st.composite
 def geometries(draw):
     sets = [draw(direction_sets()) for _ in range(6)]
     lens = ArrayHalfLengths(*(draw(lengths_st) for _ in range(4)))
     return ScatteringGeometry(*sets, lengths=lens)
 
 
-@st.composite
-def angle_sets(draw):
-    """Angle-domain supports: non-grid 12-digit cosine endpoints."""
-    angles = st.fractions(0, 180, max_denominator=7)
-    pairs = draw(st.lists(st.tuples(angles, angles), max_size=3))
-    return DirectionSet.from_angles([sorted(pair) for pair in pairs])
-
-
-@st.composite
-def fine_sets(draw):
-    """Endpoints with unrelated denominators; adjacent pairs may touch."""
-    points = draw(
-        st.lists(
-            st.fractions(-1, 1, max_denominator=1000),
-            max_size=6,
-            unique=True,
-        )
-    )
-    points.sort()
-    return DirectionSet(zip(points[::2], points[1::2]))
-
-
-@st.composite
-def mixed_geometries(draw):
-    sets = st.one_of(direction_sets(), angle_sets(), fine_sets())
-    lens = st.one_of(
-        lengths_st, st.just(F(0)), st.fractions(0, 8, max_denominator=99)
-    )
-    return ScatteringGeometry(
-        *(draw(sets) for _ in range(6)),
-        lengths=ArrayHalfLengths(*(draw(lens) for _ in range(4))),
-    )
-
-
 # -- link products -------------------------------------------------------------
-
-LEFT, RIGHT = ds((-1, F(1, 3))), ds((F(1, 3), 1))
-TOUCHING = ScatteringGeometry(
-    t11=LEFT, r11=RIGHT, t22=LEFT, r22=RIGHT, t12=RIGHT, r12=LEFT,
-    lengths=ArrayHalfLengths(1, F(1, 3), 2, F(5, 7)),
-)
-EMPTY = ScatteringGeometry(
-    *(DirectionSet() for _ in range(6)), lengths=ArrayHalfLengths(1, 1, 1, 1)
-)
-
 
 class TestLinkProducts:
     @given(mixed_geometries())

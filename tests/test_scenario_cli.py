@@ -2,6 +2,8 @@
 
 import csv
 import json
+import time
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -172,6 +174,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "quantization" in err
         assert "--auto-rescale" in err
+
+    def test_dimension_budget_is_7_before_allocating(self, tmp_path, capsys):
+        # a 45 degree span has a 12-digit cosine endpoint: rescale 5*10^11
+        data = base_scenario_dict()
+        data["intervals"] = {
+            name: {"angles_deg": [["45", "90"]]}
+            for name in ("t11", "r11", "t22", "r22", "t12", "r12")
+        }
+        path = write_json(tmp_path, data)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(["verify", path, "--auto-rescale"])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 7
+        assert elapsed < 5
+        assert peak < 2**20
+        captured = capsys.readouterr()
+        assert "dimension budget" in captured.err
+        assert "RESULT: PASS" not in captured.out
 
 
 # -- region command ----------------------------------------------------------------
