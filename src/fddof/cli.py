@@ -3,10 +3,11 @@
 Exit codes: 0 ok; 1 verification failure; 2 missing file or a usage error
 (argparse: unknown option, missing argument, or an option value its
 validator rejects, such as ``--seeds 0`` or ``--rank-tol nan``); 3 schema
-error; 4 interval/length invariant violation; 5 bad sweep base;
-6 quantization; 7 a signal space above the oracle's dimension budget
-(``oracle.MAX_SPACE_DIM`` basis functions), found before any matrix is
-allocated.
+error; 4 interval/length invariant violation, or a sweep whose sum cap
+rises with the overlap; 5 bad sweep base; 6 quantization; 7 a signal
+space above the oracle's dimension budget (``oracle.MAX_SPACE_DIM`` basis
+functions), found before any matrix is allocated and before ``verify``
+prints its caps.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .oracle import (
     LEAKAGE_TOL,
     DimensionBudgetError,
     QuantizationError,
+    check_dimension_budget,
     corrupt_support,
     integer_rescale,
     sample_channel,
@@ -57,6 +59,10 @@ DEFAULT_GRID = "1,3/4,1/2,1/4,0"
 
 class SweepBaseError(ValueError):
     """The sweep base scenario is not symmetric-constructible."""
+
+
+class MonotonicityError(RuntimeError):
+    """A sweep's sum cap rose with the overlap; the closed forms are wrong."""
 
 
 def _show(value: Fraction) -> str:
@@ -195,7 +201,7 @@ def cmd_sweep(args) -> int:
     ordered = sorted(rows, key=lambda row: row[0])
     for (o1, _, _, s1, _), (o2, _, _, s2, _) in zip(ordered, ordered[1:]):
         if s2 > s1:
-            raise RuntimeError(
+            raise MonotonicityError(
                 f"sum cap increased with overlap: {o1}->{o2} gave {s1}->{s2}"
             )
 
@@ -229,6 +235,7 @@ def cmd_verify(args) -> int:
     if args.auto_rescale:
         g, scale = integer_rescale(g)
         print(f"auto-rescale: x{scale}")
+    check_dimension_budget(g)
     seeds = args.seeds if args.seeds is not None else scn.oracle.seeds
     rank_tol = args.rank_tol if args.rank_tol is not None else scn.oracle.rank_tol
     print(f"seeds: {seeds}   rank_tol: {rank_tol:g}")
@@ -376,7 +383,7 @@ def main(argv=None) -> int:
     except SchemaError as err:
         print(f"error: schema: {err}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (DomainError, MalformedIntervalError) as err:
+    except (DomainError, MalformedIntervalError, MonotonicityError) as err:
         print(f"error: invariant: {err}", file=sys.stderr)
         return EXIT_INVARIANT
     except SweepBaseError as err:

@@ -98,6 +98,22 @@ class DirectionSet:
         self.intervals: tuple[tuple[Fraction, Fraction], ...] = tuple(merged)
 
     @classmethod
+    def _from_scaled(
+        cls, pairs: Iterable[tuple[int, int]], den: int
+    ) -> "DirectionSet":
+        """The set of intervals [lo / den, hi / den) for integer pairs.
+
+        The pairs must already be canonical: sorted, with lo < hi, disjoint
+        and not touching, inside [-den, den].  Nothing is re-sorted or
+        re-checked.
+        """
+        out = cls.__new__(cls)
+        out.intervals = tuple(
+            (Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs
+        )
+        return out
+
+    @classmethod
     def empty(cls) -> "DirectionSet":
         return cls()
 
@@ -290,7 +306,4 @@ def refine(sets: Sequence[DirectionSet]) -> list[DirectionSet]:
     disjoint and cover exactly the union of the inputs.
     """
     den, atoms = scaled_atoms(sets)
-    return [
-        DirectionSet([(Fraction(lo, den), Fraction(hi, den))])
-        for lo, hi in atoms
-    ]
+    return [DirectionSet._from_scaled([atom], den) for atom in atoms]

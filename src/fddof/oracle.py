@@ -56,7 +56,7 @@ class QuantizationError(ValueError):
 class DimensionBudgetError(ValueError):
     """A signal space needs more basis functions than MAX_SPACE_DIM."""
 
-    def __init__(self, space: str, total: int):
+    def __init__(self, space: str, total: int | Fraction):
         self.space = space
         self.total = total
         super().__init__(
@@ -151,7 +151,7 @@ class SpaceAllocation:
 
 
 def _atom(lo: int, hi: int, den: int) -> DirectionSet:
-    return DirectionSet([(Fraction(lo, den), Fraction(hi, den))])
+    return DirectionSet._from_scaled([(lo, hi)], den)
 
 
 @dataclass(frozen=True)
@@ -256,6 +256,30 @@ def _sample_block(rng, row_space, row_support, col_space, col_support):
         block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         out[np.ix_(rows, cols)] = block / np.sqrt(2)
     return out
+
+
+def _space_totals(g: ScatteringGeometry) -> tuple[int, tuple[int, ...]]:
+    """``k`` and the basis-function totals of t1, t2, r1 and r2 times k.
+
+    Each total is 2L times the measure of the space's union of supports,
+    read from ``link_products``; it equals the allocation total whenever
+    the geometry is integral.
+    """
+    k, a, b, c, d, _, _, _, _, _, _, u, v = link_products(g)
+    return k, (2 * a, 2 * (c + v), 2 * (b + u), 2 * d)
+
+
+def check_dimension_budget(g: ScatteringGeometry) -> None:
+    """Raise DimensionBudgetError when a space exceeds MAX_SPACE_DIM.
+
+    Reads the closed-form space totals, so it allocates nothing and holds
+    for a non-integral geometry too: an integer rescale only multiplies
+    the totals, so such a geometry cannot be brought under the budget.
+    """
+    k, totals = _space_totals(g)
+    for label, total in zip(("t1", "t2", "r1", "r2"), totals):
+        if total > MAX_SPACE_DIM * k:
+            raise DimensionBudgetError(label, Fraction(total, k))
 
 
 def sample_channel(
@@ -421,9 +445,7 @@ def zero_forcing_corner(
     spectral norm of s12.
     """
     if g is not None:
-        # space totals are 2 * (length-weighted union measure), over k
-        k, a, b, c, d, _, _, _, _, _, _, u, v = link_products(g)
-        t1, r1, t2, r2 = 2 * a, 2 * (b + u), 2 * (c + v), 2 * d
+        k, (t1, t2, r1, r2) = _space_totals(g)
         shapes = ((r1, t1), (r1, t2), (r2, t2))
         for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
             if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):

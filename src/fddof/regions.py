@@ -117,26 +117,12 @@ class DofRegion:
 
     def contains(self, point: tuple[Rational, Rational]) -> bool:
         """Exact membership test on the convex hull of the vertices."""
-        x, y = _frac(point[0]), _frac(point[1])
-        verts = self.vertices
-        if len(verts) == 1:
-            return (x, y) == verts[0]
-        if len(verts) == 2:
-            (x0, y0), (x1, y1) = verts
-            dx, dy = x1 - x0, y1 - y0
-            if dx * (y - y0) != dy * (x - x0):
-                return False
-            t_num = dx * (x - x0) + dy * (y - y0)
-            return 0 <= t_num <= dx * dx + dy * dy
-        for i in range(len(verts)):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % len(verts)]
-            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0:
-                return False
-        return True
+        return _hull_contains(self.vertices, _frac(point[0]), _frac(point[1]))
 
     def is_subset_of(self, other: "DofRegion") -> bool:
-        return all(other.contains(v) for v in self.vertices)
+        return all(
+            _hull_contains(other.vertices, x, y) for x, y in self.vertices
+        )
 
     def area(self) -> Fraction:
         if len(self.vertices) < 3:
@@ -147,6 +133,29 @@ class DofRegion:
             bx, by = self.vertices[(i + 1) % len(self.vertices)]
             twice += ax * by - bx * ay
         return twice / 2
+
+
+def _hull_contains(verts, x, y) -> bool:
+    """Whether (x, y) lies in the convex hull of ``verts`` (ccw order).
+
+    Exact on ints or Fractions alike, as long as the point and the
+    vertices are of one kind.
+    """
+    if len(verts) == 1:
+        return (x, y) == verts[0]
+    if len(verts) == 2:
+        (x0, y0), (x1, y1) = verts
+        dx, dy = x1 - x0, y1 - y0
+        if dx * (y - y0) != dy * (x - x0):
+            return False
+        t_num = dx * (x - x0) + dy * (y - y0)
+        return 0 <= t_num <= dx * dx + dy * dy
+    for i in range(len(verts)):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % len(verts)]
+        if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0:
+            return False
+    return True
 
 
 class RegionRelation(Enum):
@@ -201,6 +210,21 @@ def _overlap(x: list[tuple[int, int]], y: list[tuple[int, int]]) -> int:
     return total
 
 
+def _union(
+    x: list[tuple[int, int]], y: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Union of two sorted disjoint interval lists, in canonical form:
+    sorted, with overlapping or touching intervals merged."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(x + y):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def link_products(g: ScatteringGeometry) -> LinkProducts:
     """The twelve link products every closed form is built from.
 
@@ -211,8 +235,7 @@ def link_products(g: ScatteringGeometry) -> LinkProducts:
     - r = l_r1 |r11 - r12|, s = l_r1 |r11 & r12|, u = l_r1 |r12 - r11|.
 
     Users: ``fd_caps`` takes the per-flow caps from a, b, c, d and the sum
-    cap from p, r, e, f; ``corner_points`` uses all twelve;
-    ``genie_expand`` pays for its widening with r (at T2) and p (at R1).
+    cap from p, r, e, f; ``corner_points`` uses all twelve.
     In the oracle, ``verify_operator_dims`` takes the ranks of s11, s12
     and s22 from (a, b), (e, f) and (c, d), the nullity of s12 from p, e,
     f and the codimension of range(s11) from u, a, b; ``zf_case_applies``
@@ -372,9 +395,27 @@ def hd_region(g: ScatteringGeometry) -> DofRegion:
 
 
 def region_relate(a: DofRegion, b: DofRegion) -> RegionRelation:
-    """Exact polygon comparison of two regions."""
-    a_in_b = a.is_subset_of(b)
-    b_in_a = b.is_subset_of(a)
+    """Exact polygon comparison of two regions.
+
+    Both vertex lists are scaled to integers over the lcm of all their
+    coordinate denominators, so the hull tests run on plain integers.
+    """
+    den = 1
+    for x, y in a.vertices + b.vertices:
+        if den % x.denominator:
+            den = lcm(den, x.denominator)
+        if den % y.denominator:
+            den = lcm(den, y.denominator)
+    va, vb = [
+        [
+            (x.numerator * (den // x.denominator),
+             y.numerator * (den // y.denominator))
+            for x, y in region.vertices
+        ]
+        for region in (a, b)
+    ]
+    a_in_b = all(_hull_contains(vb, x, y) for x, y in va)
+    b_in_a = all(_hull_contains(va, x, y) for x, y in vb)
     if a_in_b and b_in_a:
         return RegionRelation.EQUAL
     if a_in_b:
@@ -398,28 +439,29 @@ def genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
     enough to pay for the widening, so the larger of the two signaling
     dimensions of the result equals dsum_max of the input.
     """
-    t_union = g.t22 | g.t12
-    r_union = g.r11 | g.r12
+    den, (t22, t12, r11, r12) = scaled_endpoints(
+        (g.t22, g.t12, g.r11, g.r12)
+    )
+    t_union, r_union = _union(t22, t12), _union(r11, r12)
     if not t_union or not r_union:
         raise DegenerateGeometryError(
             "expansion needs nonzero-measure scattering unions on both sides"
         )
-    lp = link_products(g)
-    t_width, r_width = t_union.measure(), r_union.measure()
+    # each array pays for the other side's private slack over its own
+    # union width: |r11 - r12| = |r11 | r12| - |r12|, and likewise at T2
+    t_width, r_width = _width(t_union), _width(r_union)
     L = g.lengths
-    l_t2 = L.l_t2 + Fraction(
-        lp.r * t_width.denominator, lp.k * t_width.numerator
-    )
-    l_r1 = L.l_r1 + Fraction(
-        lp.p * r_width.denominator, lp.k * r_width.numerator
-    )
+    l_t2 = L.l_t2 + L.l_r1 * Fraction(r_width - _width(r12), t_width)
+    l_r1 = L.l_r1 + L.l_t2 * Fraction(t_width - _width(t12), r_width)
+    t_set = DirectionSet._from_scaled(t_union, den)
+    r_set = DirectionSet._from_scaled(r_union, den)
     return ScatteringGeometry(
         t11=g.t11,
-        r11=r_union,
-        t22=t_union,
+        r11=r_set,
+        t22=t_set,
         r22=g.r22,
-        t12=t_union,
-        r12=r_union,
+        t12=t_set,
+        r12=r_set,
         lengths=ArrayHalfLengths(L.l_t1, l_r1, l_t2, L.l_r2),
     )
 

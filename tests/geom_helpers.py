@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from fddof import (
     ArrayHalfLengths,
+    DegenerateGeometryError,
     DirectionSet,
+    DofRegion,
     QuantizationError,
+    RegionRelation,
     ScatteringGeometry,
     allocate_basis,
     integer_rescale,
@@ -75,6 +78,73 @@ def reference_link_products(g: ScatteringGeometry) -> tuple[Fraction, ...]:
         L.l_r1 * (g.r11 & g.r12).measure(),
         L.l_r1 * (g.r12 - g.r11).measure(),
         L.l_t2 * (g.t12 - g.t22).measure(),
+    )
+
+
+def reference_contains(region: DofRegion, point) -> bool:
+    """``DofRegion.contains`` by Fraction cross products."""
+    x, y = Fraction(point[0]), Fraction(point[1])
+    verts = region.vertices
+    if len(verts) == 1:
+        return (x, y) == verts[0]
+    if len(verts) == 2:
+        (x0, y0), (x1, y1) = verts
+        dx, dy = x1 - x0, y1 - y0
+        if dx * (y - y0) != dy * (x - x0):
+            return False
+        t_num = dx * (x - x0) + dy * (y - y0)
+        return 0 <= t_num <= dx * dx + dy * dy
+    for i in range(len(verts)):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % len(verts)]
+        if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0:
+            return False
+    return True
+
+
+def reference_is_subset_of(a: DofRegion, b: DofRegion) -> bool:
+    return all(reference_contains(b, v) for v in a.vertices)
+
+
+def reference_region_relate(a: DofRegion, b: DofRegion) -> RegionRelation:
+    """``region_relate`` by Fraction hull tests."""
+    a_in_b = reference_is_subset_of(a, b)
+    b_in_a = reference_is_subset_of(b, a)
+    if a_in_b and b_in_a:
+        return RegionRelation.EQUAL
+    if a_in_b:
+        return RegionRelation.A_STRICT_SUBSET_B
+    if b_in_a:
+        return RegionRelation.B_STRICT_SUBSET_A
+    return RegionRelation.INCOMPARABLE
+
+
+def reference_genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
+    """``genie_expand`` by DirectionSet unions and Fraction measures."""
+    t_union = g.t22 | g.t12
+    r_union = g.r11 | g.r12
+    if not t_union or not r_union:
+        raise DegenerateGeometryError(
+            "expansion needs nonzero-measure scattering unions on both sides"
+        )
+    L = g.lengths
+    l_t2 = L.l_t2 + L.l_r1 * (g.r11 - g.r12).measure() / t_union.measure()
+    l_r1 = L.l_r1 + L.l_t2 * (g.t22 - g.t12).measure() / r_union.measure()
+    return ScatteringGeometry(
+        t11=g.t11,
+        r11=r_union,
+        t22=t_union,
+        r22=g.r22,
+        t12=t_union,
+        r12=r_union,
+        lengths=ArrayHalfLengths(L.l_t1, l_r1, l_t2, L.l_r2),
+    )
+
+
+def fraction_endpoints(sets) -> bool:
+    """Whether every endpoint of every set is of type Fraction."""
+    return all(
+        type(x) is Fraction for ds in sets for iv in ds.intervals for x in iv
     )
 
 

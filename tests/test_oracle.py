@@ -33,10 +33,11 @@ from fddof import (
     zero_forcing_corner,
     zf_case_applies,
 )
-from fddof.oracle import MAX_SPACE_DIM
+from fddof.oracle import MAX_SPACE_DIM, check_dimension_budget
 from geom_helpers import (
     EMPTY,
     TOUCHING,
+    fraction_endpoints,
     mixed_geometries,
     oracle_geometry_set,
     random_integral_case_geometry,
@@ -391,6 +392,26 @@ class TestDimensionBudget:
         err = info.value
         assert (err.space, err.total) == ("t1", MAX_SPACE_DIM + 1)
 
+    @pytest.mark.parametrize(
+        "index,label", enumerate(("t1", "r1", "t2", "r2"))
+    )
+    def test_closed_form_check_names_the_space(self, index, label):
+        def with_length(value):
+            lengths = [F(1)] * 4
+            lengths[index] = value
+            return replace(
+                no_interference_geometry(),
+                lengths=ArrayHalfLengths(*lengths),
+            )
+
+        check_dimension_budget(with_length(F(MAX_SPACE_DIM, 2)))
+        # over the budget, integral or not (a rescale only grows the total)
+        for total in (F(MAX_SPACE_DIM + 1), F(2 * MAX_SPACE_DIM + 1, 2)):
+            with pytest.raises(DimensionBudgetError) as info:
+                check_dimension_budget(with_length(total / 2))
+            err = info.value
+            assert (err.space, err.total) == (label, total)
+
 
 # -- integer allocation against the Fraction reference ------------------------------
 
@@ -399,7 +420,9 @@ def assert_allocation_matches_reference(g):
     and integer_scale equal the Fraction-midpoint reference on g."""
     families = space_families(g)
     for _, family in families.values():
-        assert refine(family) == reference_refine(family)
+        atoms = refine(family)
+        assert atoms == reference_refine(family)
+        assert fraction_endpoints(atoms)
     assert integer_scale(g) == reference_integer_scale(g)
     try:
         expected = reference_allocation(g)
@@ -418,6 +441,7 @@ def assert_allocation_matches_reference(g):
         space = getattr(alloc, label)
         assert (space.label, space.length) == (label, families[label][0])
         assert space.atoms == atoms
+        assert fraction_endpoints(space.atoms)
         assert space.dims == dims
         assert space.total == sum(dims)
         # family members contain or miss each atom; the other supports

@@ -33,9 +33,14 @@ from geom_helpers import (
     GRID,
     TOUCHING,
     direction_sets,
+    fraction_endpoints,
     lengths_st,
     mixed_geometries,
+    reference_contains,
+    reference_genie_expand,
+    reference_is_subset_of,
     reference_link_products,
+    reference_region_relate,
 )
 
 
@@ -251,6 +256,61 @@ class TestRelations:
         assert region_relate(a, b) is RegionRelation.INCOMPARABLE
 
 
+# -- integer region comparison against the Fraction reference ---------------------
+
+caps_st = st.one_of(st.just(F(0)), st.fractions(0, 8, max_denominator=12))
+
+
+@st.composite
+def cap_regions(draw):
+    """Cap polygons, with zero caps giving 1- and 2-vertex regions."""
+    d1, d2 = draw(caps_st), draw(caps_st)
+    return region_from_caps(d1, d2, max(d1, d2) + draw(caps_st))
+
+
+def assert_comparison_matches_reference(a, b):
+    """region_relate both ways, is_subset_of and contains as the reference."""
+    for x, y in ((a, b), (b, a)):
+        assert region_relate(x, y) is reference_region_relate(x, y)
+        assert x.is_subset_of(y) is reference_is_subset_of(x, y)
+        points = list(y.vertices) + [
+            (x.d1_cap, x.d2_cap), (y.d1_cap / 2, y.d2_cap / 3), (-1, 0), (0, 0)
+        ]
+        for point in points:
+            assert x.contains(point) is reference_contains(x, point)
+
+
+class TestComparisonAgainstReference:
+    @given(mixed_geometries(), mixed_geometries())
+    @example(TOUCHING, EMPTY)
+    @example(make_fully_spread(2, 1), make_fully_spread(1, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_hd_fd_pairs(self, g, h):
+        hd, fd = hd_region(g), fd_region(g)
+        assert_comparison_matches_reference(hd, fd)
+        assert_comparison_matches_reference(fd, fd_region(h))
+
+    @given(cap_regions(), cap_regions())
+    @example(region_from_caps(2, 0, 2), region_from_caps(0, 2, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_cap_regions(self, a, b):
+        assert_comparison_matches_reference(a, b)
+
+    def test_every_relation_on_a_cap_grid(self):
+        levels = (F(0), F(1, 2), F(2))
+        regions = [
+            region_from_caps(d1, d2, max(d1, d2) + extra)
+            for d1 in levels for d2 in levels for extra in levels
+        ]
+        seen = set()
+        for a in regions:
+            for b in regions:
+                relation = region_relate(a, b)
+                assert relation is reference_region_relate(a, b)
+                seen.add(relation)
+        assert seen == set(RegionRelation)
+
+
 # -- rectangularity ---------------------------------------------------------------
 
 class TestRectangularity:
@@ -362,6 +422,26 @@ class TestGenieExpansion:
             2 * expanded.lengths.l_r1 * expanded.r11.measure(),
         )
         assert top == fd_caps(g)[2]
+
+    @given(mixed_geometries())
+    @example(TOUCHING)
+    @example(EMPTY)
+    @example(make_fully_spread(0, 0))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fraction_reference(self, g):
+        try:
+            want = reference_genie_expand(g)
+        except DegenerateGeometryError:
+            with pytest.raises(DegenerateGeometryError):
+                genie_expand(g)
+            return
+        got = genie_expand(g)
+        assert got == want
+        assert fraction_endpoints((got.t22, got.t12, got.r11, got.r12))
+        L = got.lengths
+        assert all(
+            type(x) is F for x in (L.l_t1, L.l_r1, L.l_t2, L.l_r2)
+        )
 
 
 # -- constructors ------------------------------------------------------------------

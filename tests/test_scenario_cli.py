@@ -1,6 +1,7 @@
 """Scenario file handling and CLI behavior, including exit codes."""
 
 import csv
+import itertools
 import json
 import time
 import tracemalloc
@@ -19,6 +20,7 @@ from fddof import (
     region_from_caps,
     save_scenario,
 )
+from fddof import cli
 from fddof.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -141,6 +143,26 @@ class TestExitCodes:
     def test_out_of_range_grid_is_5(self, capsys):
         assert main(["sweep", SYMMETRIC, "--grid", "3/2"]) == 5
 
+    def test_sum_cap_rising_with_overlap_is_4(self, tmp_path, monkeypatch,
+                                              capsys):
+        real, calls = cli.fd_caps, itertools.count()
+
+        def rising(g):
+            d1_max, d2_max, dsum_max = real(g)
+            return d1_max, d2_max, dsum_max + 100 * next(calls)
+
+        monkeypatch.setattr(cli, "fd_caps", rising)
+        csv_path = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", SYMMETRIC, "--grid", "0,1", "--csv", str(csv_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "error: invariant: sum cap increased" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert "wrote sweep CSV" not in captured.out
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize(
         "option", [["--seeds", "0"], ["--seeds", "-3"], ["--rank-tol", "nan"],
                    ["--rank-tol", "inf"], ["--rank-tol", "0"],
@@ -196,7 +218,9 @@ class TestExitCodes:
         assert peak < 2**20
         captured = capsys.readouterr()
         assert "dimension budget" in captured.err
-        assert "RESULT: PASS" not in captured.out
+        # refused before the caps, the corners or the seed table
+        for line in ("caps:", "corners:", "seed  rank11", "RESULT: PASS"):
+            assert line not in captured.out
 
 
 # -- region command ----------------------------------------------------------------
