@@ -1,13 +1,16 @@
 """Command-line front door: region reports, comparisons, sweeps, verification.
 
-Exit codes: 0 ok; 1 verification failure; 2 missing file or a usage error
-(argparse: unknown option, missing argument, or an option value its
-validator rejects, such as ``--seeds 0`` or ``--rank-tol nan``); 3 schema
-error; 4 interval/length invariant violation, or a sweep whose sum cap
-rises with the overlap; 5 bad sweep base; 6 quantization; 7 a signal
-space above the oracle's dimension budget (``oracle.MAX_SPACE_DIM`` basis
-functions), found before any matrix is allocated and before ``verify``
-prints its caps.
+Exit codes: 0 ok; 1 verification failure; 2 a scenario file that is missing
+or cannot be read, an output file that cannot be written (any OSError), or
+a usage error (argparse: unknown option, missing argument, or an option
+value its validator rejects, such as ``--seeds 0`` or ``--rank-tol nan``);
+3 schema error: scenario text that is not UTF-8 JSON, a field of the wrong
+type, or a rational literal over the digit budget; 4 interval/length
+invariant violation, or a sweep whose sum cap rises with the overlap; 5 bad
+sweep base, including a ``--grid`` value that is not a rational literal
+within the digit budget; 6 quantization; 7 a signal space above the
+oracle's dimension budget (``oracle.MAX_SPACE_DIM`` basis functions), found
+before any matrix is allocated and before ``verify`` prints its caps.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from .regions import (
     hd_region,
     is_rectangular,
     make_symmetric,
+    region_from_caps,
     region_relate,
 )
-from .scenario import Scenario, SchemaError, load_scenario
+from .scenario import Scenario, SchemaError, _literal, load_scenario
 from .svgplot import write_svg
 
 EXIT_OK = 0
@@ -69,20 +73,25 @@ def _show(value: Fraction) -> str:
     return f"{value} ({float(value):.6g})"
 
 
-def _write_vertex_csv(path: str, region) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """One CSV table; numbers are written to 12 significant digits and
+    strings as they are."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["d1", "d2"])
-        for x, y in region.vertices:
-            writer.writerow([format(float(x), ".12g"), format(float(y), ".12g")])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                cell if isinstance(cell, str) else format(float(cell), ".12g")
+                for cell in row
+            )
 
 
 def cmd_region(args) -> int:
     scn = load_scenario(args.scenario)
     g = scn.geometry
-    d1_max, d2_max, dsum_max = fd_caps(g)
+    d1_max, d2_max, dsum_max = caps = fd_caps(g)
     corners = corner_points(g)
-    region = fd_region(g)
+    region = region_from_caps(*caps)
 
     print(f"scenario: {scn.name}")
     print(f"d1_max   = {_show(d1_max)}")
@@ -98,7 +107,7 @@ def cmd_region(args) -> int:
     print(f"vertices (ccw): {verts}")
 
     if args.csv:
-        _write_vertex_csv(args.csv, region)
+        _write_csv(args.csv, ["d1", "d2"], region.vertices)
         print(f"wrote vertices CSV: {args.csv}")
     if args.svg:
         write_svg(args.svg, [("full-duplex region", region)])
@@ -170,7 +179,7 @@ def cmd_sweep(args) -> int:
     scn = load_scenario(args.scenario)
     length, fwd, back = _symmetric_base(scn)
     try:
-        grid = [Fraction(tok) for tok in args.grid.split(",") if tok.strip()]
+        grid = [_literal(tok) for tok in args.grid.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as err:
         raise SweepBaseError(f"bad --grid value: {err}") from None
     if not grid:
@@ -187,10 +196,10 @@ def cmd_sweep(args) -> int:
     entries = []
     for overlap in grid:
         g = make_symmetric(length, fwd, _with_overlap(fwd, back, overlap))
-        d1_max, d2_max, dsum_max = fd_caps(g)
+        d1_max, d2_max, dsum_max = caps = fd_caps(g)
         rect = is_rectangular(g)
-        rows.append((overlap, d1_max, d2_max, dsum_max, rect))
-        entries.append((f"FD overlap={overlap}", fd_region(g)))
+        rows.append((overlap, *caps, rect))
+        entries.append((f"FD overlap={overlap}", region_from_caps(*caps)))
         print(
             f"overlap={overlap}: d1_max={d1_max} d2_max={d2_max} "
             f"dsum_max={dsum_max} rectangular={'yes' if rect else 'no'}"
@@ -206,21 +215,11 @@ def cmd_sweep(args) -> int:
             )
 
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["overlap", "d1_cap", "d2_cap", "dsum_cap", "rectangular"]
-            )
-            for overlap, d1c, d2c, dsc, rect in rows:
-                writer.writerow(
-                    [
-                        format(float(overlap), ".12g"),
-                        format(float(d1c), ".12g"),
-                        format(float(d2c), ".12g"),
-                        format(float(dsc), ".12g"),
-                        "true" if rect else "false",
-                    ]
-                )
+        _write_csv(
+            args.csv,
+            ["overlap", "d1_cap", "d2_cap", "dsum_cap", "rectangular"],
+            ((*caps, "true" if rect else "false") for *caps, rect in rows),
+        )
         print(f"wrote sweep CSV: {args.csv}")
     if args.svg:
         write_svg(args.svg, entries)
@@ -379,6 +378,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as err:
         print(f"error: file not found: {err.filename or err}", file=sys.stderr)
+        return EXIT_MISSING_FILE
+    except OSError as err:
+        print(f"error: file: {err}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except SchemaError as err:
         print(f"error: schema: {err}", file=sys.stderr)

@@ -246,17 +246,18 @@ class DirectionSet:
 
 
 def scaled_endpoints(
-    sets: Sequence[DirectionSet],
+    families: Sequence[Sequence[tuple[Fraction, Fraction]]],
 ) -> tuple[int, list[list[tuple[int, int]]]]:
-    """Every set's endpoints times the lcm ``den`` of their denominators.
+    """Every rational pair times the lcm ``den`` of all their denominators.
 
-    Returns ``den`` and, per set, its intervals as integer pairs; dividing
-    a pair by ``den`` gives back the exact interval.  Exact set algebra on
-    the family then runs on plain integers.
+    Takes sequences of exact rational pairs (a set's ``intervals``, or a
+    polygon's vertices) and returns ``den`` and, per sequence, its pairs as
+    integer pairs; dividing a pair by ``den`` gives back the exact one.
+    Exact algebra on the family then runs on plain integers.
     """
     den = 1
-    for ds in sets:
-        for lo, hi in ds.intervals:
+    for pairs in families:
+        for lo, hi in pairs:
             if den % lo.denominator:
                 den = lcm(den, lo.denominator)
             if den % hi.denominator:
@@ -265,9 +266,9 @@ def scaled_endpoints(
         [
             (lo.numerator * (den // lo.denominator),
              hi.numerator * (den // hi.denominator))
-            for lo, hi in ds.intervals
+            for lo, hi in pairs
         ]
-        for ds in sets
+        for pairs in families
     ]
 
 
@@ -281,7 +282,7 @@ def scaled_atoms(
     point, so membership changes at each breakpoint: the atoms are exactly
     the pieces between consecutive breakpoints that some set covers.
     """
-    den, scaled = scaled_endpoints(sets)
+    den, scaled = scaled_endpoints([ds.intervals for ds in sets])
     depth: dict[int, int] = {}
     for intervals in scaled:
         for lo, hi in intervals:

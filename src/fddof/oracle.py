@@ -430,7 +430,7 @@ class ZeroForcingResult:
 
 
 def zero_forcing_corner(
-    ch: DiscretizedChannel, g: ScatteringGeometry | None = None
+    ch: DiscretizedChannel, g: ScatteringGeometry
 ) -> ZeroForcingResult:
     """Corner point achieved by transmitter-side spatial isolation.
 
@@ -442,17 +442,16 @@ def zero_forcing_corner(
 
     The leakage figure is the largest interference energy any constructed
     transmit basis vector deposits onto range(s11), relative to the
-    spectral norm of s12.
+    spectral norm of s12.  Raises ValueError when the channel's shapes do
+    not match the space totals of ``g``.
     """
-    if g is not None:
-        k, (t1, t2, r1, r2) = _space_totals(g)
-        shapes = ((r1, t1), (r1, t2), (r2, t2))
-        for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
-            if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):
-                raise ValueError("channel was not sampled from this geometry")
+    k, (t1, t2, r1, r2) = _space_totals(g)
+    shapes = ((r1, t1), (r1, t2), (r2, t2))
+    for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
+        if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):
+            raise ValueError("channel was not sampled from this geometry")
 
     tol = ch.rank_tol
-    n2 = ch.s12.shape[1]
 
     u11, sv11, _ = np.linalg.svd(ch.s11)
     r1 = _count(sv11, tol)
@@ -478,16 +477,9 @@ def zero_forcing_corner(
         preimages, *_ = np.linalg.lstsq(ch.s12, targets, rcond=None)
         pieces.append(preimages)
 
-    stacked = np.hstack([p for p in pieces if p.size]) if any(
-        p.size for p in pieces
-    ) else np.zeros((n2, 0), dtype=np.complex128)
-    if stacked.shape[1]:
-        ub, sb, _ = np.linalg.svd(stacked, full_matrices=False)
-        p12 = ub[:, : _count(sb, tol)]
-    else:
-        p12 = stacked
-
-    d2 = numerical_rank(ch.s22 @ p12, tol) if p12.shape[1] else 0
+    ub, sb, _ = np.linalg.svd(np.hstack(pieces), full_matrices=False)
+    p12 = ub[:, : _count(sb, tol)]
+    d2 = numerical_rank(ch.s22 @ p12, tol)
 
     max_leakage = 0.0
     norm12 = float(sv12[0]) if sv12.size else 0.0
@@ -498,7 +490,7 @@ def zero_forcing_corner(
         max_leakage = float(np.linalg.norm(leak, axis=0).max() / norm12)
 
     return ZeroForcingResult(
-        d1=r1, d2=int(d2), p12_dim=p12.shape[1], max_leakage=max_leakage
+        d1=r1, d2=d2, p12_dim=p12.shape[1], max_leakage=max_leakage
     )
 
 

@@ -234,20 +234,14 @@ def link_products(g: ScatteringGeometry) -> LinkProducts:
     - p = l_t2 |t22 - t12|, q = l_t2 |t22 & t12|, v = l_t2 |t12 - t22|;
     - r = l_r1 |r11 - r12|, s = l_r1 |r11 & r12|, u = l_r1 |r12 - r11|.
 
-    Users: ``fd_caps`` takes the per-flow caps from a, b, c, d and the sum
-    cap from p, r, e, f; ``corner_points`` uses all twelve.
-    In the oracle, ``verify_operator_dims`` takes the ranks of s11, s12
-    and s22 from (a, b), (e, f) and (c, d), the nullity of s12 from p, e,
-    f and the codimension of range(s11) from u, a, b; ``zf_case_applies``
-    uses a, b, d, e, f, p, q and u.
-
     Endpoints are scaled to the lcm of their denominators and lengths to
     the lcm of theirs, so every product is an integer over their product k.
     Only the two overlaps are swept; each difference is |A| - |A & B|.
     """
-    den, (t11, r11, t22, r22, t12, r12) = scaled_endpoints(
-        (g.t11, g.r11, g.t22, g.r22, g.t12, g.r12)
-    )
+    den, (t11, r11, t22, r22, t12, r12) = scaled_endpoints((
+        g.t11.intervals, g.r11.intervals, g.t22.intervals,
+        g.r22.intervals, g.t12.intervals, g.r12.intervals,
+    ))
     L = g.lengths
     lengths = (L.l_t1, L.l_r1, L.l_t2, L.l_r2)
     scale = 1
@@ -400,20 +394,7 @@ def region_relate(a: DofRegion, b: DofRegion) -> RegionRelation:
     Both vertex lists are scaled to integers over the lcm of all their
     coordinate denominators, so the hull tests run on plain integers.
     """
-    den = 1
-    for x, y in a.vertices + b.vertices:
-        if den % x.denominator:
-            den = lcm(den, x.denominator)
-        if den % y.denominator:
-            den = lcm(den, y.denominator)
-    va, vb = [
-        [
-            (x.numerator * (den // x.denominator),
-             y.numerator * (den // y.denominator))
-            for x, y in region.vertices
-        ]
-        for region in (a, b)
-    ]
+    _, (va, vb) = scaled_endpoints((a.vertices, b.vertices))
     a_in_b = all(_hull_contains(vb, x, y) for x, y in va)
     b_in_a = all(_hull_contains(va, x, y) for x, y in vb)
     if a_in_b and b_in_a:
@@ -440,7 +421,7 @@ def genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
     dimensions of the result equals dsum_max of the input.
     """
     den, (t22, t12, r11, r12) = scaled_endpoints(
-        (g.t22, g.t12, g.r11, g.r12)
+        (g.t22.intervals, g.t12.intervals, g.r11.intervals, g.r12.intervals)
     )
     t_union, r_union = _union(t22, t12), _union(r11, r12)
     if not t_union or not r_union:

@@ -3,13 +3,17 @@
 Rationals are written as "p/q" strings (plain integers are accepted too);
 JSON number literals are parsed as exact decimal fractions, never as binary
 floats, so a round trip through a file preserves every endpoint exactly.
+Every rational literal must fit a fixed digit budget, checked on its text
+before anything is expanded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -22,6 +26,11 @@ DEFAULT_SEEDS = 20
 
 _LENGTH_KEYS = ("l_t1", "l_r1", "l_t2", "l_r2")
 _INTERVAL_KEYS = ("t11", "r11", "t22", "r22", "t12", "r12")
+
+# Digits a rational literal may expand to, its exponent counted as digits.
+# Caps are at most 12 times a length, so every closed form stays far inside
+# the float range, and the exact values stay quick to print.
+_MAX_DIGITS = 300
 
 
 class SchemaError(ValueError):
@@ -45,16 +54,42 @@ class Scenario:
     oracle: OracleSettings = OracleSettings()
 
 
+def _literal(value: str | int | Decimal) -> Fraction:
+    """The exact rational a literal denotes: "p/q", an integer or a decimal.
+
+    Raises ValueError, before anything is expanded, when the numerator or
+    the denominator would need more than ``_MAX_DIGITS`` digits, and
+    ValueError or ZeroDivisionError when it is not a rational literal.
+    """
+    text = str(value)
+    # without an exponent, no part expands to more digits than the text has
+    if len(text) > _MAX_DIGITS or "e" in text or "E" in text:
+        for part in text.split("/", 1):
+            try:
+                _, digits, exponent = Decimal(part).as_tuple()
+            except InvalidOperation:
+                break  # not a number; Fraction says why
+            if isinstance(exponent, int) and (
+                max(len(digits) + max(exponent, 0), -exponent) > _MAX_DIGITS
+            ):
+                raise ValueError(f"more than {_MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 def _rational(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(path, "expected a rational, got a boolean")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, Decimal, str)):
         try:
-            return Fraction(value)
+            return _literal(value)
         except (ValueError, ZeroDivisionError):
-            raise SchemaError(path, f"not a rational 'p/q' string: {value!r}")
+            raise SchemaError(
+                path,
+                f"not a rational of at most {_MAX_DIGITS} digits: "
+                f"{reprlib.repr(value)}",
+            ) from None
     raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
 
 
@@ -97,6 +132,10 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     name = data.get("name", default_name)
     if not isinstance(name, str):
         raise SchemaError("name", "expected a string")
+    try:
+        name.encode("utf-8")  # the report prints it
+    except UnicodeEncodeError:
+        raise SchemaError("name", "not valid Unicode text") from None
 
     if "lengths" not in data:
         raise SchemaError("lengths", "missing")
@@ -139,7 +178,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
             raise SchemaError("oracle.seeds", "expected a positive integer")
         rank_tol = block.get("rank_tol", DEFAULT_RANK_TOL)
         if isinstance(rank_tol, bool) or not isinstance(
-            rank_tol, (int, float, Fraction)
+            rank_tol, (int, float, Fraction, Decimal)
         ):
             raise SchemaError("oracle.rank_tol", "expected a positive number")
         try:
@@ -160,13 +199,20 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     return Scenario(name=name, geometry=geometry, oracle=oracle)
 
 
+def _json_int(text: str) -> int | Decimal:
+    # an integer past the budget stays a Decimal for _rational to refuse
+    return int(text) if len(text.lstrip("-")) <= _MAX_DIGITS else Decimal(text)
+
+
 def load_scenario(path: str | Path) -> Scenario:
+    """Read a scenario file; OSErrors propagate, and text that is not UTF-8
+    JSON is a SchemaError.  No number is expanded before it is checked."""
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle, parse_float=Fraction)
-        except json.JSONDecodeError as err:
-            raise SchemaError("$", f"invalid JSON: {err}") from err
+            data = json.load(handle, parse_float=Decimal, parse_int=_json_int)
+        except (ValueError, ArithmeticError, RecursionError) as err:
+            raise SchemaError("$", f"not UTF-8 JSON: {err}") from None
     return parse_scenario(data, default_name=path.stem)
 
 

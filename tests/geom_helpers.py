@@ -20,8 +20,20 @@ from fddof import (
     ScatteringGeometry,
     allocate_basis,
     integer_rescale,
+    make_symmetric,
     zf_case_applies,
 )
+
+
+def ds(*pairs) -> DirectionSet:
+    return DirectionSet(pairs)
+
+
+def symmetric_overlap(length, overlap) -> ScatteringGeometry:
+    """Unit forward / unit backscatter supports with the given overlap."""
+    fwd = ds((0, 1))
+    back = ds((overlap - 1, overlap)) if overlap > 0 else ds((-1, 0))
+    return make_symmetric(length, fwd, back)
 
 
 def random_direction_set(
@@ -298,19 +310,21 @@ GRID = 16
 
 
 @st.composite
-def direction_sets(draw, max_fragments=3):
+def direction_sets(draw, max_fragments=3, grid=GRID):
+    """Up to max_fragments disjoint intervals with endpoints on the 1/grid
+    grid."""
     k = draw(st.integers(0, max_fragments))
     if k == 0:
         return DirectionSet()
     points = draw(
         st.lists(
-            st.integers(-GRID, GRID), min_size=2 * k, max_size=2 * k, unique=True
+            st.integers(-grid, grid), min_size=2 * k, max_size=2 * k, unique=True
         )
     )
     points.sort()
     return DirectionSet(
         [
-            (Fraction(points[2 * i], GRID), Fraction(points[2 * i + 1], GRID))
+            (Fraction(points[2 * i], grid), Fraction(points[2 * i + 1], grid))
             for i in range(k)
         ]
     )

@@ -10,10 +10,7 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from fddof import (
-    DirectionSet,
     RegionRelation,
     cap_corners,
     corner_points,
@@ -31,9 +28,9 @@ from fddof import (
 )
 from geom_helpers import (
     oracle_geometry_set,
-    random_direction_set,
     random_geometry,
     random_symmetric_inputs,
+    symmetric_overlap,
 )
 
 SEEDS_PER_GEOMETRY = 20
@@ -66,16 +63,6 @@ class criterion:
         return False
 
 
-def unit_symmetric(overlap):
-    fwd = DirectionSet([(0, 1)])
-    back = (
-        DirectionSet([(overlap - 1, overlap)])
-        if overlap > 0
-        else DirectionSet([(-1, 0)])
-    )
-    return make_symmetric(1, fwd, back)
-
-
 def test_criterion_1_overlap_family_regions():
     expected = {
         F(1): ((F(2), F(0)), (F(0), F(2))),
@@ -87,7 +74,7 @@ def test_criterion_1_overlap_family_regions():
     triangle = ((F(0), F(0)), (F(2), F(0)), (F(0), F(2)))
     with criterion(1, "overlap family regions", 1.0):
         for overlap, tail in expected.items():
-            g = unit_symmetric(overlap)
+            g = symmetric_overlap(1, overlap)
             assert fd_region(g).vertices == ((F(0), F(0)),) + tail, overlap
             assert hd_region(g).vertices == triangle, overlap
 

@@ -1,0 +1,208 @@
+"""Property test of the CLI front door: whatever the scenario text and the
+command line, ``cli.main`` ends with a documented exit code (0-7), never an
+exception."""
+
+import copy
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from fddof.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DOCS = {
+    path.name: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted(SCENARIOS.glob("*.json"))
+}
+SYMMETRIC = DOCS["symmetric_overlap_075.json"]
+
+# argv placeholders, replaced by paths inside each example's directory
+SCENARIO, DIRECTORY, MISSING, NOT_UTF8 = "@scn", "@dir", "@missing", "@latin"
+OUT, OUT_IN_MISSING_DIR = "@out", "@nodir/out"
+
+
+def node_paths(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def with_node(doc, path, fragment: str) -> str:
+    """JSON text of doc with the node at path replaced by raw JSON text."""
+    if not path:
+        return fragment
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    slot = "\x00slot\x00"
+    parent[path[-1]] = slot
+    return json.dumps(doc).replace(json.dumps(slot), fragment)
+
+
+# Integers stay small or are all nines: a length of 99 keeps every signal
+# space of a checked-in scenario under a few hundred basis functions, and
+# 999 and beyond are refused by the dimension budget, so verify stays fast.
+json_ints = st.one_of(
+    st.integers(-100, 100).map(str),
+    st.integers(1, 5000).map(lambda n: "9" * n),
+    st.integers(1, 5000).map(lambda n: "-" + "9" * n),
+)
+raw_numbers = st.sampled_from(
+    ["1e400", "1e-999999999", "1e9999999999999999999", "-0.0", "0.5",
+     "1E+2", "2.5e-3", "1e-2000000", "NaN", "Infinity", "-Infinity"]
+)
+json_strings = st.one_of(
+    st.sampled_from(
+        ["p/q", "nan", "inf", "1e-2000000", "1e400", "1/0", "-1/3", "3/4",
+         "1/" + "3" * 400, "1e-999999999", "angles_deg"]
+    ),
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(-2, 20)),
+    st.text(max_size=12),
+).map(json.dumps)
+json_scalars = st.one_of(
+    st.sampled_from(["null", "true", "false"]),
+    json_ints,
+    raw_numbers,
+    json_strings,
+)
+json_keys = st.one_of(
+    st.sampled_from(["angles_deg", "l_t1", "t11", "seeds", "rank_tol"]),
+    st.text(max_size=6),
+).map(json.dumps)
+json_fragments = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+        st.lists(st.tuples(json_keys, inner), max_size=4).map(
+            lambda kvs: "{" + ", ".join(f"{k}: {v}" for k, v in kvs) + "}"
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    """A checked-in scenario, as it is or with one node replaced."""
+    doc = DOCS[draw(st.sampled_from(sorted(DOCS)))]
+    if draw(st.booleans()):
+        return json.dumps(doc)
+    path = draw(st.sampled_from(list(node_paths(doc))))
+    return with_node(doc, path, draw(json_fragments))
+
+
+outputs = st.sampled_from([OUT, DIRECTORY, OUT_IN_MISSING_DIR])
+scenario_args = st.sampled_from(
+    [SCENARIO, SCENARIO, SCENARIO, DIRECTORY, MISSING, NOT_UTF8]
+)
+
+
+def option(name, values):
+    """Either nothing or the option with one of values."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def flag(name):
+    return st.sampled_from([[], [name]])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["region", "compare", "sweep", "verify"]))
+    argv = [command, draw(scenario_args)]
+    if command == "region":
+        argv += draw(option("--csv", outputs)) + draw(option("--svg", outputs))
+    elif command == "compare":
+        argv += draw(option("--svg", outputs))
+    elif command == "sweep":
+        grids = st.one_of(
+            st.sampled_from(
+                ["1,1/2", "0", "1e-2000000", "nan", "", ",", "1/0", "3/2",
+                 "1e400", "-1", "1/" + "3" * 400]
+            ),
+            st.text(max_size=8),
+        )
+        argv += draw(option("--grid", grids))
+        argv += draw(option("--csv", outputs)) + draw(option("--svg", outputs))
+    else:
+        argv += ["--seeds", "1"] + draw(flag("--auto-rescale"))
+        argv += draw(option("--rank-tol", st.sampled_from(
+            ["1e-9", "nan", "0", "abc", "1e400"]
+        )))
+        argv += draw(flag("--corrupt-support"))
+    # an option the subcommand does not have, or no scenario at all
+    return draw(st.sampled_from([argv, argv, argv, argv + ["--bogus"],
+                                 [command]]))
+
+
+def run_main(text: str, argv: list[str]) -> int:
+    """Exit code of main(argv) on scenario text, argparse exits included.
+
+    stdout and stderr encode strictly as UTF-8, like a UTF-8 terminal.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        places = {
+            SCENARIO: tmp / "scenario.json",
+            DIRECTORY: tmp,
+            MISSING: tmp / "missing.json",
+            NOT_UTF8: tmp / "latin1.json",
+            OUT: tmp / "out.file",
+            OUT_IN_MISSING_DIR: tmp / "nodir" / "out.file",
+        }
+        places[SCENARIO].write_text(text, encoding="utf-8")
+        places[NOT_UTF8].write_bytes(b"\xff" + text.encode("utf-8"))
+        argv = [str(places.get(arg, arg)) for arg in argv]
+        out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+                    for _ in range(2))
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                return main(argv)
+            except SystemExit as stop:
+                return stop.code
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(text=scenario_texts(), argv=argvs())
+@example(text=with_node(SYMMETRIC, ("lengths", "l_t1"), "7" * 5000),
+         argv=["region", SCENARIO])
+@example(
+    text=with_node(SYMMETRIC, ("lengths",), json.dumps(
+        {key: "1e400" for key in SYMMETRIC["lengths"]}
+    )),
+    argv=["compare", SCENARIO],
+)
+@example(text=with_node(SYMMETRIC, ("lengths", "l_t1"), '"1e-2000000"'),
+         argv=["region", SCENARIO])
+@example(text=json.dumps(SYMMETRIC),
+         argv=["sweep", SCENARIO, "--grid", "1e-2000000"])
+@example(text=json.dumps(SYMMETRIC), argv=["region", DIRECTORY])
+@example(text=json.dumps(SYMMETRIC), argv=["region", NOT_UTF8])
+@example(text=json.dumps(SYMMETRIC),
+         argv=["region", SCENARIO, "--csv", DIRECTORY])
+@example(text=json.dumps(SYMMETRIC),
+         argv=["compare", SCENARIO, "--svg", DIRECTORY])
+@example(text=with_node(SYMMETRIC, ("name",), '"\\ud800"'),
+         argv=["region", SCENARIO])
+@example(text=with_node(SYMMETRIC, ("intervals", "t11"),
+                        "[" * 100_000 + "]" * 100_000),
+         argv=["region", SCENARIO])
+def test_every_input_ends_in_a_documented_exit_code(text, argv):
+    assert run_main(text, argv) in range(8)

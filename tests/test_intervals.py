@@ -14,33 +14,9 @@ from fddof import (
     cos_degrees,
     refine,
 )
+from geom_helpers import direction_sets, ds
 
 GRID = 64
-
-
-def ds(*pairs):
-    return DirectionSet(pairs)
-
-
-# -- strategies ---------------------------------------------------------------
-
-@st.composite
-def direction_sets(draw, max_fragments=3):
-    k = draw(st.integers(0, max_fragments))
-    if k == 0:
-        return DirectionSet()
-    points = draw(
-        st.lists(
-            st.integers(-GRID, GRID), min_size=2 * k, max_size=2 * k, unique=True
-        )
-    )
-    points.sort()
-    return DirectionSet(
-        [
-            (F(points[2 * i], GRID), F(points[2 * i + 1], GRID))
-            for i in range(k)
-        ]
-    )
 
 
 def bitmap(d: DirectionSet):
@@ -83,7 +59,7 @@ class TestCanonicalize:
         assert ds(("1/4", "3/4")).intervals == ((F(1, 4), F(3, 4)),)
         assert ds((0.25, 0.75)).intervals == ((F(1, 4), F(3, 4)),)
 
-    @given(direction_sets())
+    @given(direction_sets(grid=GRID))
     def test_reconstruction_is_identity(self, d):
         assert DirectionSet(d.intervals) == d
 
@@ -168,36 +144,36 @@ class TestOperations:
         with pytest.raises(ValueError):
             d.take_from_left(2)
 
-    @given(direction_sets(), direction_sets())
+    @given(direction_sets(grid=GRID), direction_sets(grid=GRID))
     def test_bitmap_union(self, a, b):
         want = [x or y for x, y in zip(bitmap(a), bitmap(b))]
         assert bitmap(a | b) == want
 
-    @given(direction_sets(), direction_sets())
+    @given(direction_sets(grid=GRID), direction_sets(grid=GRID))
     def test_bitmap_intersection(self, a, b):
         want = [x and y for x, y in zip(bitmap(a), bitmap(b))]
         assert bitmap(a & b) == want
 
-    @given(direction_sets(), direction_sets())
+    @given(direction_sets(grid=GRID), direction_sets(grid=GRID))
     def test_bitmap_difference(self, a, b):
         want = [x and not y for x, y in zip(bitmap(a), bitmap(b))]
         assert bitmap(a - b) == want
 
-    @given(direction_sets(), direction_sets())
+    @given(direction_sets(grid=GRID), direction_sets(grid=GRID))
     def test_inclusion_exclusion_exact(self, a, b):
         assert (a | b).measure() + (a & b).measure() == a.measure() + b.measure()
 
-    @given(direction_sets(), direction_sets())
+    @given(direction_sets(grid=GRID), direction_sets(grid=GRID))
     def test_measure_monotone(self, a, b):
         inner = a & b
         assert inner.issubset(a)
         assert inner.measure() <= a.measure()
 
-    @given(direction_sets(), direction_sets())
+    @given(direction_sets(grid=GRID), direction_sets(grid=GRID))
     def test_difference_recomposes(self, a, b):
         assert (a - b) | (a & b) == a
 
-    @given(direction_sets(), st.integers(0, 4))
+    @given(direction_sets(grid=GRID), st.integers(0, 4))
     def test_take_from_left_properties(self, a, quarters):
         amount = a.measure() * quarters / 4
         taken = a.take_from_left(amount)
@@ -228,7 +204,7 @@ class TestRefine:
             ds((F(1, 2), 1)),
         ]
 
-    @given(st.lists(direction_sets(), min_size=1, max_size=4))
+    @given(st.lists(direction_sets(grid=GRID), min_size=1, max_size=4))
     @settings(max_examples=150)
     def test_atoms_classify_each_input(self, sets):
         atoms = refine(sets)
@@ -246,7 +222,7 @@ class TestRefine:
                 assert hit == atom or not hit
         assert combined == union
 
-    @given(st.lists(direction_sets(), min_size=1, max_size=3))
+    @given(st.lists(direction_sets(grid=GRID), min_size=1, max_size=3))
     def test_atoms_are_coarsest(self, sets):
         # adjacent atoms must differ in membership somewhere, otherwise the
         # partition would not be the coarsest one

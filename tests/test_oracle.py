@@ -37,6 +37,7 @@ from fddof.oracle import MAX_SPACE_DIM, check_dimension_budget
 from geom_helpers import (
     EMPTY,
     TOUCHING,
+    ds,
     fraction_endpoints,
     mixed_geometries,
     oracle_geometry_set,
@@ -48,19 +49,10 @@ from geom_helpers import (
     reference_mask,
     reference_refine,
     space_families,
+    symmetric_overlap,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def ds(*pairs):
-    return DirectionSet(pairs)
-
-
-def symmetric_overlap(length, overlap):
-    fwd = ds((0, 1))
-    back = ds((overlap - 1, overlap)) if overlap > 0 else ds((-1, 0))
-    return make_symmetric(length, fwd, back)
 
 
 def no_interference_geometry():

@@ -11,7 +11,6 @@ from fddof import (
     ArrayHalfLengths,
     DegenerateGeometryError,
     DirectionSet,
-    DofRegion,
     DomainError,
     RegionRelation,
     ScatteringGeometry,
@@ -33,6 +32,7 @@ from geom_helpers import (
     GRID,
     TOUCHING,
     direction_sets,
+    ds,
     fraction_endpoints,
     lengths_st,
     mixed_geometries,
@@ -41,18 +41,8 @@ from geom_helpers import (
     reference_is_subset_of,
     reference_link_products,
     reference_region_relate,
+    symmetric_overlap,
 )
-
-
-def ds(*pairs):
-    return DirectionSet(pairs)
-
-
-def symmetric_overlap(length, overlap):
-    """Unit forward / unit backscatter supports with the given overlap."""
-    fwd = ds((0, 1))
-    back = ds((overlap - 1, overlap)) if overlap > 0 else ds((-1, 0))
-    return make_symmetric(length, fwd, back)
 
 
 # -- strategies ---------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 
 from fddof import (
     DirectionSet,
-    Scenario,
     fd_caps,
     load_scenario,
     make_fully_spread,
@@ -33,6 +32,18 @@ ANGLES = str(SCENARIOS / "angles_demo.json")
 def write_json(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+# placeholder string that write_raw replaces with raw JSON text
+RAW = "@raw@"
+
+
+def write_raw(tmp_path, data, raw, name="scenario.json"):
+    """Write data with the string RAW replaced by the JSON text raw."""
+    path = tmp_path / name
+    path.write_text(json.dumps(data).replace(json.dumps(RAW), raw),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -221,6 +232,84 @@ class TestExitCodes:
         # refused before the caps, the corners or the seed table
         for line in ("caps:", "corners:", "seed  rank11", "RESULT: PASS"):
             assert line not in captured.out
+
+
+    @pytest.mark.parametrize(
+        "field",
+        ["lengths.l_t1", "intervals.t11", "oracle.seeds", "oracle.rank_tol"],
+    )
+    def test_json_integer_over_4300_digits_is_3(self, tmp_path, field,
+                                                capsys):
+        data = base_scenario_dict()
+        data["oracle"] = {"seeds": 1, "rank_tol": 1e-9}
+        section, key = field.split(".")
+        data[section][key] = [[RAW, "1"]] if section == "intervals" else RAW
+        assert main(["region", write_raw(tmp_path, data, "7" * 5000)]) == 3
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["region", "compare"])
+    def test_lengths_past_the_float_range_are_3(self, tmp_path, command,
+                                                capsys):
+        data = base_scenario_dict()
+        data["lengths"] = {key: "1e400" for key in data["lengths"]}
+        assert main([command, write_json(tmp_path, data)]) == 3
+        assert "lengths.l_t1" in capsys.readouterr().err
+
+    def test_expanding_scenario_literal_is_3_within_a_second(self, tmp_path,
+                                                             capsys):
+        data = base_scenario_dict()
+        data["lengths"]["l_t1"] = "1e-2000000"
+        start = time.perf_counter()
+        code = main(["region", write_json(tmp_path, data)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "lengths.l_t1" in capsys.readouterr().err
+
+    def test_expanding_grid_literal_is_5_within_a_second(self, capsys):
+        start = time.perf_counter()
+        code = main(["sweep", SYMMETRIC, "--grid", "1/2,1e-2000000"])
+        assert time.perf_counter() - start < 1
+        assert code == 5
+        assert "bad --grid value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["1e-999999999", '"1e-999999999"'])
+    def test_nine_digit_exponent_is_3_within_a_second(self, tmp_path, raw,
+                                                      capsys):
+        # expanding this exponent would build a 10^9-digit denominator
+        data = base_scenario_dict()
+        data["intervals"]["t12"] = [[RAW, "3/4"]]
+        start = time.perf_counter()
+        code = main(["region", write_raw(tmp_path, data, raw)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "intervals.t12[0][0]" in capsys.readouterr().err
+
+    def test_scenario_directory_is_2(self, tmp_path, capsys):
+        assert main(["region", str(tmp_path)]) == 2
+        assert "error: file" in capsys.readouterr().err
+
+    def test_scenario_not_utf8_is_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(base_scenario_dict()).replace("base", "caf\u00e9")
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["region", str(path)]) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_name_with_lone_surrogate_is_3(self, tmp_path, capsys):
+        data = base_scenario_dict()
+        data["name"] = RAW
+        assert main(["region", write_raw(tmp_path, data, '"\\ud800"')]) == 3
+        assert "name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("region", "--csv"), ("region", "--svg"), ("compare", "--svg"),
+         ("sweep", "--csv"), ("sweep", "--svg")],
+    )
+    def test_output_path_that_is_a_directory_is_2(self, tmp_path, command,
+                                                   option, capsys):
+        assert main([command, SYMMETRIC, option, str(tmp_path)]) == 2
+        assert "error: file" in capsys.readouterr().err
 
 
 # -- region command ----------------------------------------------------------------
