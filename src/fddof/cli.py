@@ -3,9 +3,11 @@
 Exit codes: 0 ok; 1 verification failure; 2 a scenario file that is missing
 or cannot be read, an output file that cannot be written (any OSError), or
 a usage error (argparse: unknown option, missing argument, or an option
-value its validator rejects, such as ``--seeds 0`` or ``--rank-tol nan``);
-3 schema error: scenario text that is not UTF-8 JSON, a field of the wrong
-type, or a rational literal over the digit budget; 4 interval/length
+value its validator rejects, such as ``--seeds 0``, a ``--seeds`` above
+``scenario.MAX_SEEDS`` or ``--rank-tol nan``); 3 schema error: scenario text
+that is not UTF-8 JSON, a field of the wrong type, an ``oracle.seeds`` above
+``MAX_SEEDS``, a rational literal over the digit budget, or lengths and
+endpoints whose common denominator is over the bit budget; 4 interval/length
 invariant violation, or a sweep whose sum cap rises with the overlap; 5 bad
 sweep base, including a ``--grid`` value that is not a rational literal
 within the digit budget; 6 quantization; 7 a signal space above the
@@ -46,7 +48,13 @@ from .regions import (
     region_from_caps,
     region_relate,
 )
-from .scenario import Scenario, SchemaError, _literal, load_scenario
+from .scenario import (
+    MAX_SEEDS,
+    Scenario,
+    SchemaError,
+    _literal,
+    load_scenario,
+)
 from .svgplot import write_svg
 
 EXIT_OK = 0
@@ -304,10 +312,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def _positive_int(text: str) -> int:
+def _seed_count(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value <= MAX_SEEDS:
+        raise argparse.ArgumentTypeError(
+            f"must be from 1 to {MAX_SEEDS}, got {value}"
+        )
     return value
 
 
@@ -358,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="randomized matrix oracle checks of the closed forms"
     )
     p_verify.add_argument("scenario")
-    p_verify.add_argument("--seeds", type=_positive_int, default=None)
+    p_verify.add_argument("--seeds", type=_seed_count, default=None)
     p_verify.add_argument(
         "--auto-rescale",
         action="store_true",

@@ -9,7 +9,9 @@ endpoints over one denominator per space.  The scattering operators become
 complex matrices whose support is exactly the product of the receive and
 transmit scattering intervals, with free entries drawn from a standard
 complex normal so that every fully-supported submatrix has maximal rank
-with probability one.
+with probability one.  The zero-forcing corner gives flow 2 the transmit
+subspace ker(U1^H s12), U1 an orthonormal basis of range(s11), with its
+rank threshold relative to the spectral norm of s12.
 """
 
 from __future__ import annotations
@@ -434,14 +436,16 @@ def zero_forcing_corner(
 ) -> ZeroForcingResult:
     """Corner point achieved by transmitter-side spatial isolation.
 
-    Flow 1 takes its full dimension, d1 = rank(s11).  Flow 2 then signals
-    inside the preimage of range(s11)-perp under s12: the nullspace of s12
-    plus minimum-norm preimages of the overlap between range(s11)-perp and
-    range(s12).  d2 is the rank of s22 restricted to that subspace, which
-    caps it by the downlink receive dimension automatically.
+    Flow 1 takes its full dimension, d1 = rank(s11), on U1, an orthonormal
+    basis of range(s11).  Flow 2 then signals only where its
+    self-interference misses that space: on P, an orthonormal basis of
+    ker(U1^H s12), read from the right singular vectors of U1^H s12 whose
+    singular values fall below rank_tol times the spectral norm of s12.
+    d2 is the rank of s22 restricted to P, which caps it by the downlink
+    receive dimension automatically.
 
-    The leakage figure is the largest interference energy any constructed
-    transmit basis vector deposits onto range(s11), relative to the
+    The leakage figure is measured, not read back from the singular
+    values: the largest column norm of U1^H s12 P, relative to the
     spectral norm of s12.  Raises ValueError when the channel's shapes do
     not match the space totals of ``g``.
     """
@@ -452,45 +456,22 @@ def zero_forcing_corner(
             raise ValueError("channel was not sampled from this geometry")
 
     tol = ch.rank_tol
-
-    u11, sv11, _ = np.linalg.svd(ch.s11)
-    r1 = _count(sv11, tol)
-    desired = u11[:, :r1]          # range(s11)
-    clear = u11[:, r1:]            # range(s11)-perp: interference-free
-
-    u12, sv12, v12h = np.linalg.svd(ch.s12)
-    r12 = _count(sv12, tol)
-    nullspace = v12h[r12:, :].conj().T
-    reach = u12[:, :r12]           # range(s12)
-
-    overlap = 0
-    if clear.shape[1] and r12:
-        joint = np.hstack([clear, reach])
-        overlap = clear.shape[1] + r12 - numerical_rank(joint, tol)
-
-    pieces = [nullspace]
-    if overlap:
-        _, _, vmh = np.linalg.svd(clear.conj().T @ reach)
-        targets = reach @ vmh[:overlap, :].conj().T
-        # purify: keep only the interference-free component before solving
-        targets = clear @ (clear.conj().T @ targets)
-        preimages, *_ = np.linalg.lstsq(ch.s12, targets, rcond=None)
-        pieces.append(preimages)
-
-    ub, sb, _ = np.linalg.svd(np.hstack(pieces), full_matrices=False)
-    p12 = ub[:, : _count(sb, tol)]
+    u11, sv11, _ = np.linalg.svd(ch.s11, full_matrices=False)
+    d1 = _count(sv11, tol)
+    # the interference flow 2 deposits on flow 1's receive space
+    m = u11[:, :d1].conj().T @ ch.s12
+    # relative to s12 itself: m may hold nothing but round-off
+    norm12 = np.linalg.svd(ch.s12, compute_uv=False).max(initial=0.0)
+    _, svm, vmh = np.linalg.svd(m)
+    p12 = vmh[int(np.sum(svm > tol * norm12)):, :].conj().T
     d2 = numerical_rank(ch.s22 @ p12, tol)
 
-    max_leakage = 0.0
-    norm12 = float(sv12[0]) if sv12.size else 0.0
-    if p12.shape[1] and norm12 > 0.0 and r1:
-        leak = desired.conj().T @ (ch.s12 @ p12)
-        # p12 columns are orthonormal, so per-column norms are already
-        # relative to the transmit vector norm
-        max_leakage = float(np.linalg.norm(leak, axis=0).max() / norm12)
-
+    leak = np.linalg.norm(m @ p12, axis=0).max(initial=0.0)
+    # p12 columns are orthonormal, so per-column norms are already
+    # relative to the transmit vector norm
+    max_leakage = float(leak / norm12) if norm12 else 0.0
     return ZeroForcingResult(
-        d1=r1, d2=d2, p12_dim=p12.shape[1], max_leakage=max_leakage
+        d1=d1, d2=d2, p12_dim=p12.shape[1], max_leakage=max_leakage
     )
 
 

@@ -4,7 +4,8 @@ Rationals are written as "p/q" strings (plain integers are accepted too);
 JSON number literals are parsed as exact decimal fractions, never as binary
 floats, so a round trip through a file preserves every endpoint exactly.
 Every rational literal must fit a fixed digit budget, checked on its text
-before anything is expanded.
+before anything is expanded, and the common denominator of a geometry must
+fit a bit budget, so that every exact value the CLI prints can be printed.
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ from typing import Any
 
 from .intervals import DirectionSet, DomainError, MalformedIntervalError
 from .oracle import DEFAULT_RANK_TOL
-from .regions import ArrayHalfLengths, ScatteringGeometry
+from .regions import ArrayHalfLengths, ScatteringGeometry, link_products
 
 DEFAULT_SEEDS = 20
+
+# Most oracle seeds one verify run takes.  Wall budget: two minutes.  One
+# seed (sample, rank checks, zero forcing) costs 5-10 ms on the checked-in
+# scenarios scaled to 64-80 basis functions per space (2-core Xeon, numpy
+# 2.4), so 2 min / 10 ms = 12000 seeds, rounded down.
+MAX_SEEDS = 10_000
 
 _LENGTH_KEYS = ("l_t1", "l_r1", "l_t2", "l_r2")
 _INTERVAL_KEYS = ("t11", "r11", "t22", "r22", "t12", "r12")
@@ -31,6 +38,16 @@ _INTERVAL_KEYS = ("t11", "r11", "t22", "r22", "t12", "r12")
 # Caps are at most 12 times a length, so every closed form stays far inside
 # the float range, and the exact values stay quick to print.
 _MAX_DIGITS = 300
+
+# Bits of the common denominator k = link_products(g).k.  Every exact value
+# the CLI prints is below 12 * 10**300 (12 times a length) over a
+# denominator dividing k, or, on a sweep, dividing k times a --grid
+# denominator of at most 10**300.  Its numerator then has at most
+# log10(12) + 600 + 12000 * log10(2) < 4214 digits, inside Python's
+# 4300-digit limit on int-to-str conversion.  An --auto-rescale factor
+# divides k (at most 3613 digits), and verify prints the rescaled caps only
+# once every space is inside the oracle's dimension budget.
+_MAX_DENOMINATOR_BITS = 12_000
 
 
 class SchemaError(ValueError):
@@ -174,8 +191,11 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         if unknown:
             raise SchemaError("oracle", f"unknown keys {sorted(unknown)}")
         seeds = block.get("seeds", DEFAULT_SEEDS)
-        if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
-            raise SchemaError("oracle.seeds", "expected a positive integer")
+        if (not isinstance(seeds, int) or isinstance(seeds, bool)
+                or not 1 <= seeds <= MAX_SEEDS):
+            raise SchemaError(
+                "oracle.seeds", f"expected an integer from 1 to {MAX_SEEDS}"
+            )
         rank_tol = block.get("rank_tol", DEFAULT_RANK_TOL)
         if isinstance(rank_tol, bool) or not isinstance(
             rank_tol, (int, float, Fraction, Decimal)
@@ -196,6 +216,22 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     except DomainError as err:
         raise DomainError(f"lengths: {err}") from None
     geometry = ScatteringGeometry(lengths=half_lengths, **sets)
+    # k is a multiple of every denominator, so a running lcm past the budget
+    # refuses before link_products scales each endpoint by a huge k
+    endpoints = (x for ds in sets.values() for iv in ds.intervals for x in iv)
+    k = 1
+    for x in (*length_values.values(), *endpoints):
+        k = math.lcm(k, x.denominator)
+        if k.bit_length() > _MAX_DENOMINATOR_BITS:
+            break
+    else:
+        k = link_products(geometry).k
+    if k.bit_length() > _MAX_DENOMINATOR_BITS:
+        raise SchemaError(
+            "$",
+            "lengths and endpoints need a common denominator of more than "
+            f"{_MAX_DENOMINATOR_BITS} bits",
+        )
     return Scenario(name=name, geometry=geometry, oracle=oracle)
 
 

@@ -23,6 +23,13 @@ from fddof import (
     make_symmetric,
     zf_case_applies,
 )
+from fddof.oracle import (
+    DiscretizedChannel,
+    ZeroForcingResult,
+    _count,
+    _space_totals,
+    numerical_rank,
+)
 
 
 def ds(*pairs) -> DirectionSet:
@@ -220,6 +227,72 @@ def reference_mask(atoms, dims, support: DirectionSet) -> np.ndarray:
     """``mask_within`` by DirectionSet differences."""
     flags = [atom.issubset(support) for atom in atoms]
     return np.repeat(np.asarray(flags, dtype=bool), dims)
+
+
+def reference_zero_forcing_corner(
+    ch: DiscretizedChannel, g: ScatteringGeometry
+) -> ZeroForcingResult:
+    """``zero_forcing_corner`` by the preimage construction: the nullspace
+    of s12 plus least-squares preimages of range(s11)-perp & range(s12).
+
+    Flow 1 takes its full dimension, d1 = rank(s11).  Flow 2 then signals
+    inside the preimage of range(s11)-perp under s12: the nullspace of s12
+    plus minimum-norm preimages of the overlap between range(s11)-perp and
+    range(s12).  d2 is the rank of s22 restricted to that subspace, which
+    caps it by the downlink receive dimension automatically.
+
+    The leakage figure is the largest interference energy any constructed
+    transmit basis vector deposits onto range(s11), relative to the
+    spectral norm of s12.  Raises ValueError when the channel's shapes do
+    not match the space totals of ``g``.
+    """
+    k, (t1, t2, r1, r2) = _space_totals(g)
+    shapes = ((r1, t1), (r1, t2), (r2, t2))
+    for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
+        if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):
+            raise ValueError("channel was not sampled from this geometry")
+
+    tol = ch.rank_tol
+
+    u11, sv11, _ = np.linalg.svd(ch.s11)
+    r1 = _count(sv11, tol)
+    desired = u11[:, :r1]          # range(s11)
+    clear = u11[:, r1:]            # range(s11)-perp: interference-free
+
+    u12, sv12, v12h = np.linalg.svd(ch.s12)
+    r12 = _count(sv12, tol)
+    nullspace = v12h[r12:, :].conj().T
+    reach = u12[:, :r12]           # range(s12)
+
+    overlap = 0
+    if clear.shape[1] and r12:
+        joint = np.hstack([clear, reach])
+        overlap = clear.shape[1] + r12 - numerical_rank(joint, tol)
+
+    pieces = [nullspace]
+    if overlap:
+        _, _, vmh = np.linalg.svd(clear.conj().T @ reach)
+        targets = reach @ vmh[:overlap, :].conj().T
+        # purify: keep only the interference-free component before solving
+        targets = clear @ (clear.conj().T @ targets)
+        preimages, *_ = np.linalg.lstsq(ch.s12, targets, rcond=None)
+        pieces.append(preimages)
+
+    ub, sb, _ = np.linalg.svd(np.hstack(pieces), full_matrices=False)
+    p12 = ub[:, : _count(sb, tol)]
+    d2 = numerical_rank(ch.s22 @ p12, tol)
+
+    max_leakage = 0.0
+    norm12 = float(sv12[0]) if sv12.size else 0.0
+    if p12.shape[1] and norm12 > 0.0 and r1:
+        leak = desired.conj().T @ (ch.s12 @ p12)
+        # p12 columns are orthonormal, so per-column norms are already
+        # relative to the transmit vector norm
+        max_leakage = float(np.linalg.norm(leak, axis=0).max() / norm12)
+
+    return ZeroForcingResult(
+        d1=r1, d2=d2, p12_dim=p12.shape[1], max_leakage=max_leakage
+    )
 
 
 def _subset_slice(rng: random.Random, base: DirectionSet) -> DirectionSet:

@@ -23,6 +23,7 @@ from fddof import (
     fd_caps,
     integer_rescale,
     integer_scale,
+    link_products,
     load_scenario,
     make_fully_spread,
     make_symmetric,
@@ -33,7 +34,7 @@ from fddof import (
     zero_forcing_corner,
     zf_case_applies,
 )
-from fddof.oracle import MAX_SPACE_DIM, check_dimension_budget
+from fddof.oracle import LEAKAGE_TOL, MAX_SPACE_DIM, check_dimension_budget
 from geom_helpers import (
     EMPTY,
     TOUCHING,
@@ -48,6 +49,7 @@ from geom_helpers import (
     reference_link_products,
     reference_mask,
     reference_refine,
+    reference_zero_forcing_corner,
     space_families,
     symmetric_overlap,
 )
@@ -297,6 +299,87 @@ class TestZeroForcing:
         cp = corner_points(g)
         result = zero_forcing_corner(sample_channel(g, seed=4), g)
         assert result.corner == (int(cp.p_prime[0]), int(cp.p_prime[1]))
+
+
+# the checked-in scenarios scaled so their largest space has 64-80 basis
+# functions, as in the benchmark's large oracle workload
+LARGE_SCALES = {
+    "angles_demo": 16,
+    "empty_backscatter": 32,
+    "fully_spread_bs2_usr1": 8,
+    "symmetric_overlap_075": 32,
+}
+
+
+def assert_matches_reference(g):
+    for seed in range(3):
+        ch = sample_channel(g, seed)
+        result = zero_forcing_corner(ch, g)
+        ref = reference_zero_forcing_corner(ch, g)
+        assert (result.d1, result.d2, result.p12_dim) == (
+            ref.d1, ref.d2, ref.p12_dim
+        ), (seed, result, ref, g)
+        assert result.max_leakage < LEAKAGE_TOL, (seed, result, g)
+    return result
+
+
+def test_nullspace_matches_the_preimage_construction():
+    """ker(U1^H s12) against the nullspace-plus-preimages construction on
+    random integral geometries, the criterion-3/4 set and the scenarios."""
+    rng = random.Random(7)
+    geometries = [random_integral_geometry(rng) for _ in range(400)]
+    geometries += oracle_geometry_set()
+    for stem, scale in LARGE_SCALES.items():
+        raw = load_scenario(SCENARIOS / f"{stem}.json").geometry
+        geometries += [integer_rescale(raw)[0], raw.scaled(scale)]
+    for g in geometries:
+        assert_matches_reference(g)
+
+
+class TestZeroForcingEdges:
+    def test_range_of_s11_filling_r1_leaves_the_nullspace_of_s12(self):
+        # r12 inside r11 and a >= b: range(s11) is all of R1, so flow 2 may
+        # only use ker(s12), however small s12 is against s11
+        g = ScatteringGeometry(
+            t11=ds((0, 1)), r11=ds((0, 1)), t22=ds((F(-1, 2), F(1, 2))),
+            r22=ds((0, 1)), t12=ds((-1, 0)), r12=ds((F(1, 4), F(3, 4))),
+            lengths=ArrayHalfLengths(4, 2, 2, 1),
+        )
+        k, a, b, _, _, e, f, p, *_ = link_products(g)
+        assert a >= b
+        result = assert_matches_reference(g)
+        assert result.p12_dim == (2 * p + 2 * max(e - f, 0)) // k == 4
+
+    def test_interference_outside_range_of_s11_is_all_of_t2(self):
+        # r12 disjoint from r11: U1^H s12 holds round-off only
+        g = replace(no_interference_geometry(), t12=ds((-1, 0)),
+                    r12=ds((-1, 0)))
+        result = assert_matches_reference(g)
+        assert result.p12_dim == 4
+        assert result.corner == (2, 2)
+
+    def test_empty_t11(self):
+        g = replace(no_interference_geometry(), t11=DirectionSet(),
+                    t12=ds((0, 1)), r12=ds((0, 1)))
+        result = assert_matches_reference(g)
+        assert (result.d1, result.p12_dim, result.max_leakage) == (0, 2, 0.0)
+
+    def test_empty_t12(self):
+        g = no_interference_geometry()
+        ch = sample_channel(g, seed=0)
+        assert ch.s12.size and not ch.s12.any()
+        result = assert_matches_reference(g)
+        assert (result.p12_dim, result.max_leakage) == (2, 0.0)
+
+    @pytest.mark.parametrize("empty", [("t22", "t12"), ("r11", "r12")])
+    def test_zero_size_s12(self, empty):
+        g = replace(
+            no_interference_geometry(),
+            **{name: DirectionSet() for name in empty},
+        )
+        assert sample_channel(g, seed=0).s12.size == 0
+        result = assert_matches_reference(g)
+        assert result.max_leakage == 0.0
 
 
 def test_expectations_match_direction_set_algebra():

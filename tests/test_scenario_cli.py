@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -20,7 +21,8 @@ from fddof import (
     save_scenario,
 )
 from fddof import cli
-from fddof.cli import main
+from fddof.cli import build_parser, main
+from fddof.scenario import MAX_SEEDS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SYMMETRIC = str(SCENARIOS / "symmetric_overlap_075.json")
@@ -45,6 +47,23 @@ def write_raw(tmp_path, data, raw, name="scenario.json"):
     path.write_text(json.dumps(data).replace(json.dumps(RAW), raw),
                     encoding="utf-8")
     return str(path)
+
+
+def coprime_denominators(count):
+    """count <= 64 pairwise coprime denominators of 299 digits, 1 + i * m
+    with 64! dividing m: a prime dividing two of them divides j - i < 64,
+    so it divides m, yet 1 + i * m is 1 modulo it."""
+    m = math.factorial(64) * 10**207
+    return [1 + i * m for i in range(1, count + 1)]
+
+
+def spread_intervals(dens, step=F(1, 8)):
+    """One interval per pair of denominators, each endpoint 1 / den past a
+    multiple of step / 2."""
+    return [
+        [str(-1 + i * step + F(1, lo)), str(-1 + i * step + step / 2 + F(1, hi))]
+        for i, (lo, hi) in enumerate(zip(dens[::2], dens[1::2]))
+    ]
 
 
 def base_scenario_dict():
@@ -310,6 +329,65 @@ class TestExitCodes:
                                                    option, capsys):
         assert main([command, SYMMETRIC, option, str(tmp_path)]) == 2
         assert "error: file" in capsys.readouterr().err
+
+    def test_seeds_of_300_nines_is_3_within_a_second(self, tmp_path, capsys):
+        data = base_scenario_dict()
+        data["oracle"] = {"seeds": RAW}
+        start = time.perf_counter()
+        code = main(["verify", write_raw(tmp_path, data, "9" * 300),
+                     "--auto-rescale"])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "oracle.seeds" in captured.err
+        assert "seed  rank11" not in captured.out
+
+    def test_seeds_option_above_the_bound_is_a_usage_error_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", EMPTY_BACK, "--seeds", str(MAX_SEEDS + 1)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seeds" in captured.err
+        assert "seed  rank11" not in captured.out
+
+    def test_seeds_option_at_the_bound_parses(self):
+        args = build_parser().parse_args(
+            ["verify", EMPTY_BACK, "--seeds", str(MAX_SEEDS)]
+        )
+        assert args.seeds == MAX_SEEDS
+
+    @pytest.mark.parametrize("command", ["region", "compare", "sweep", "verify"])
+    def test_long_common_denominator_is_3_within_a_second(self, tmp_path,
+                                                          command, capsys):
+        # 16 intervals in each of t11 and r11, over 64 distinct 299-digit
+        # denominators: the exact caps would need about 19000 digits
+        dens = coprime_denominators(64)
+        data = base_scenario_dict()
+        data["intervals"]["t11"] = spread_intervals(dens[:32])
+        data["intervals"]["r11"] = spread_intervals(dens[32:])
+        path = write_json(tmp_path, data)
+        start = time.perf_counter()
+        code = main([command, path])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "common denominator" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("command", ["region", "compare", "sweep"])
+    def test_values_just_inside_the_denominator_budget_print(self, tmp_path,
+                                                             command, capsys):
+        # a symmetric base over 12 distinct 299-digit denominators and
+        # 300-digit lengths, swept with a 300-digit grid denominator
+        fwd = spread_intervals(coprime_denominators(12), step=F(1, 4))
+        data = base_scenario_dict()
+        data["lengths"] = {key: "9" * 300 for key in data["lengths"]}
+        data["intervals"] = {key: fwd for key in data["intervals"]}
+        argv = [command, write_json(tmp_path, data)]
+        if command == "sweep":
+            argv += ["--grid", "1/" + "9" * 300 + ",0"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out) > 4000
 
 
 # -- region command ----------------------------------------------------------------
