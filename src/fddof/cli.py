@@ -10,9 +10,10 @@ that is not UTF-8 JSON, a field of the wrong type, an ``oracle.seeds`` above
 endpoints whose common denominator is over the bit budget; 4 interval/length
 invariant violation, or a sweep whose sum cap rises with the overlap; 5 bad
 sweep base, including a ``--grid`` value that is not a rational literal
-within the digit budget; 6 quantization; 7 a signal space above the
-oracle's dimension budget (``oracle.MAX_SPACE_DIM`` basis functions), found
-before any matrix is allocated and before ``verify`` prints its caps.
+within the digit budget; 6 quantization, found before ``verify`` prints
+its caps; 7 a signal space above the oracle's dimension budget
+(``oracle.MAX_SPACE_DIM`` basis functions), found before any matrix is
+allocated and before ``verify`` prints its caps.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .oracle import (
     LEAKAGE_TOL,
     DimensionBudgetError,
     QuantizationError,
+    allocate_basis,
     check_dimension_budget,
-    corrupt_support,
     integer_rescale,
     sample_channel,
     verify_operator_dims,
@@ -243,6 +244,7 @@ def cmd_verify(args) -> int:
         g, scale = integer_rescale(g)
         print(f"auto-rescale: x{scale}")
     check_dimension_budget(g)
+    allocate_basis(g)  # refuses a non-integral geometry before the report
     seeds = args.seeds if args.seeds is not None else scn.oracle.seeds
     rank_tol = args.rank_tol if args.rank_tol is not None else scn.oracle.rank_tol
     print(f"seeds: {seeds}   rank_tol: {rank_tol:g}")
@@ -281,8 +283,6 @@ def cmd_verify(args) -> int:
     print(f"seed  {header_cells}  {'zf(d1,d2)':<10} leakage    status")
     for seed in range(seeds):
         ch = sample_channel(g, seed, rank_tol)
-        if args.corrupt_support:
-            ch = corrupt_support(ch, g)
         report = verify_operator_dims(ch, g)
         zf = zero_forcing_corner(ch, g)
         rank_tuples.add(tuple(c.observed for c in report.checks))
@@ -375,9 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale array lengths to the least integral geometry first",
     )
     p_verify.add_argument("--rank-tol", type=_positive_finite, default=None)
-    p_verify.add_argument(
-        "--corrupt-support", action="store_true", help=argparse.SUPPRESS
-    )
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -71,35 +71,37 @@ class RankToleranceWarning(UserWarning):
     """A singular value sits near the rank threshold; rank is unreliable."""
 
 
-def _count(svals: np.ndarray, rank_tol: float) -> int:
-    """Singular values above rank_tol relative to the largest."""
-    if svals.size == 0 or float(svals[0]) == 0.0:
-        return 0
-    return int(np.sum(svals > rank_tol * float(svals[0])))
+def _rank(svals: np.ndarray, threshold: float) -> int:
+    """Count the singular values, sorted descending, above ``threshold``.
 
-
-def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values above rank_tol relative to the largest.
-
-    Warns when any singular value lies within a decade of the threshold:
-    the spectral gap should be many orders of magnitude wide here, so a
+    Warns when any of them lies within a decade of the threshold: the
+    spectral gap should be many orders of magnitude wide here, so a
     near-threshold value means the draw is ill-conditioned and a reseed is
-    advisable.
+    advisable.  Only the smallest kept and the largest dropped value can
+    lie that close if any does.
     """
-    if matrix.size == 0:
-        return 0
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    threshold = rank_tol * float(svals[0])
-    near = np.sum((svals > threshold / 10) & (svals < threshold * 10))
-    if near:
+    rank = int(np.count_nonzero(svals > threshold))
+    if (rank and svals[rank - 1] < threshold * 10) or (
+        rank < svals.size and svals[rank] > threshold / 10
+    ):
+        near = np.sum((svals > threshold / 10) & (svals < threshold * 10))
         warnings.warn(
             f"{int(near)} singular value(s) within a decade of the rank "
             f"threshold {threshold:.3e}; rank decision is ill-conditioned, "
             "resample with a different seed",
             RankToleranceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return _count(svals, rank_tol)
+    return rank
+
+
+def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Count singular values above rank_tol relative to the largest,
+    warning as ``_rank`` does."""
+    if matrix.size == 0:
+        return 0
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return _rank(svals, rank_tol * float(svals[0]))
 
 
 @dataclass(frozen=True)
@@ -249,10 +251,19 @@ class DiscretizedChannel:
     rank_tol: float = DEFAULT_RANK_TOL
 
 
-def _sample_block(rng, row_space, row_support, col_space, col_support):
-    out = np.zeros((row_space.total, col_space.total), dtype=np.complex128)
-    rows = np.flatnonzero(row_space.mask_within(row_support))
-    cols = np.flatnonzero(col_space.mask_within(col_support))
+def _support_masks(alloc: BasisAllocation, g: ScatteringGeometry):
+    """Row and column support masks of each operator, in draw order."""
+    return {
+        "s11": (alloc.r1.mask_within(g.r11), alloc.t1.mask_within(g.t11)),
+        "s12": (alloc.r1.mask_within(g.r12), alloc.t2.mask_within(g.t12)),
+        "s22": (alloc.r2.mask_within(g.r22), alloc.t2.mask_within(g.t22)),
+    }
+
+
+def _sample_block(rng, row_mask, col_mask):
+    out = np.zeros((row_mask.size, col_mask.size), dtype=np.complex128)
+    rows = np.flatnonzero(row_mask)
+    cols = np.flatnonzero(col_mask)
     if rows.size and cols.size:
         shape = (rows.size, cols.size)
         block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -298,19 +309,11 @@ def sample_channel(
         if space.total > MAX_SPACE_DIM:
             raise DimensionBudgetError(space.label, space.total)
     rng = np.random.default_rng(seed)
-    s11 = _sample_block(rng, alloc.r1, g.r11, alloc.t1, g.t11)
-    s12 = _sample_block(rng, alloc.r1, g.r12, alloc.t2, g.t12)
-    s22 = _sample_block(rng, alloc.r2, g.r22, alloc.t2, g.t22)
+    s11, s12, s22 = (
+        _sample_block(rng, rows, cols)
+        for rows, cols in _support_masks(alloc, g).values()
+    )
     return DiscretizedChannel(s11, s12, s22, alloc, seed, rank_tol)
-
-
-def _support_row_col_masks(ch: DiscretizedChannel, g: ScatteringGeometry):
-    alloc = ch.allocation
-    return {
-        "s11": (alloc.r1.mask_within(g.r11), alloc.t1.mask_within(g.t11)),
-        "s12": (alloc.r1.mask_within(g.r12), alloc.t2.mask_within(g.t12)),
-        "s22": (alloc.r2.mask_within(g.r22), alloc.t2.mask_within(g.t22)),
-    }
 
 
 def corrupt_support(
@@ -323,7 +326,7 @@ def corrupt_support(
     space, so the corruption picks its cell (or falls back to deleting a
     supported row or column of a full-generic-rank matrix) accordingly.
     """
-    masks = _support_row_col_masks(ch, g)
+    masks = _support_masks(ch.allocation, g)
     for name in ("s12", "s11", "s22"):
         mat = getattr(ch, name)
         if mat.size == 0:
@@ -457,13 +460,13 @@ def zero_forcing_corner(
 
     tol = ch.rank_tol
     u11, sv11, _ = np.linalg.svd(ch.s11, full_matrices=False)
-    d1 = _count(sv11, tol)
+    d1 = _rank(sv11, tol * sv11.max(initial=0.0))
     # the interference flow 2 deposits on flow 1's receive space
     m = u11[:, :d1].conj().T @ ch.s12
     # relative to s12 itself: m may hold nothing but round-off
     norm12 = np.linalg.svd(ch.s12, compute_uv=False).max(initial=0.0)
     _, svm, vmh = np.linalg.svd(m)
-    p12 = vmh[int(np.sum(svm > tol * norm12)):, :].conj().T
+    p12 = vmh[_rank(svm, tol * norm12):, :].conj().T
     d2 = numerical_rank(ch.s22 @ p12, tol)
 
     leak = np.linalg.norm(m @ p12, axis=0).max(initial=0.0)

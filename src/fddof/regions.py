@@ -306,34 +306,34 @@ def cap_corners(
     )
 
 
+def _corner(a, b, d, e, f, p, q, r, u) -> tuple[int, int]:
+    """Corner p' times k from the link products it reads.
+
+    Flow 1 takes 2 min(a, b); flow 2 the most it can add on top.  The
+    branch selects whether the transmit or the receive end of flow 1 is
+    the bottleneck (ties go to the first branch), and max(..., 0) is the
+    positive part.
+    """
+    if a >= b:
+        budget = max(min(q, max(e - f, 0) + u), 0)
+    else:
+        # a < b leaves slack at R1; the interference budget grows by the
+        # receive-side slack not already covered by spare backscatter room.
+        budget = min(q, e - max(a - (r + max(f - e, 0)), 0))
+    return 2 * min(a, b), min(2 * p + 2 * budget, 2 * d)
+
+
 def corner_points(g: ScatteringGeometry) -> CornerPoints:
     """Both corner points of the full-duplex region.
 
     p' gives flow 1 its full point-to-point dimension and flow 2 the most
-    it can add on top; p'' is the mirror.  Each branch selects whether the
-    transmit or the receive end of the maximized flow is the bottleneck
-    (ties go to the first branch), and max(..., 0) is the positive part.
+    it can add on top.  p'' is p' with the uplink and downlink roles
+    swapped (the reciprocity of linear schemes), read back in (d1, d2)
+    order.
     """
     k, a, b, c, d, e, f, p, q, r, s, u, v = link_products(g)
-
-    d1_prime = 2 * min(a, b)
-    if a >= b:
-        d_t2 = 2 * p + 2 * max(min(q, max(e - f, 0) + u), 0)
-        d2_prime = min(d_t2, 2 * d)
-    else:
-        # a < b leaves slack at R1; the interference budget grows by the
-        # receive-side slack not already covered by spare backscatter room.
-        delta_t2 = 2 * p + 2 * min(q, e - max(a - (r + max(f - e, 0)), 0))
-        d2_prime = min(delta_t2, 2 * d)
-
-    d2_double = 2 * min(c, d)
-    if d >= c:
-        d_r1 = 2 * r + 2 * max(min(s, max(f - e, 0) + v), 0)
-        d1_double = min(2 * a, d_r1)
-    else:
-        delta_r1 = 2 * r + 2 * min(s, f - max(d - (p + max(e - f, 0)), 0))
-        d1_double = min(2 * a, delta_r1)
-
+    d1_prime, d2_prime = _corner(a, b, d, e, f, p, q, r, u)
+    d2_double, d1_double = _corner(d, c, a, f, e, r, s, p, v)
     return CornerPoints(
         (Fraction(d1_prime, k), Fraction(d2_prime, k)),
         (Fraction(d1_double, k), Fraction(d2_double, k)),

@@ -26,7 +26,6 @@ from fddof import (
 from fddof.oracle import (
     DiscretizedChannel,
     ZeroForcingResult,
-    _count,
     _space_totals,
     numerical_rank,
 )
@@ -97,6 +96,17 @@ def reference_link_products(g: ScatteringGeometry) -> tuple[Fraction, ...]:
         L.l_r1 * (g.r11 & g.r12).measure(),
         L.l_r1 * (g.r12 - g.r11).measure(),
         L.l_t2 * (g.t12 - g.t22).measure(),
+    )
+
+
+def dual(g: ScatteringGeometry) -> ScatteringGeometry:
+    """g with the uplink and downlink roles swapped: every transmit end
+    becomes the matching receive end (t11<->r22, r11<->t22, t12<->r12) and
+    every array its counterpart (l_t1<->l_r2, l_r1<->l_t2)."""
+    L = g.lengths
+    return ScatteringGeometry(
+        t11=g.r22, r11=g.t22, t22=g.r11, r22=g.t11, t12=g.r12, r12=g.t12,
+        lengths=ArrayHalfLengths(L.l_r2, L.l_t2, L.l_r1, L.l_t1),
     )
 
 
@@ -227,6 +237,13 @@ def reference_mask(atoms, dims, support: DirectionSet) -> np.ndarray:
     """``mask_within`` by DirectionSet differences."""
     flags = [atom.issubset(support) for atom in atoms]
     return np.repeat(np.asarray(flags, dtype=bool), dims)
+
+
+def _count(svals: np.ndarray, rank_tol: float) -> int:
+    """Singular values above rank_tol relative to the largest, silently."""
+    if svals.size == 0 or float(svals[0]) == 0.0:
+        return 0
+    return int(np.sum(svals > rank_tol * float(svals[0])))
 
 
 def reference_zero_forcing_corner(

@@ -142,7 +142,6 @@ def argvs(draw):
         argv += draw(option("--rank-tol", st.sampled_from(
             ["1e-9", "nan", "0", "abc", "1e400"]
         )))
-        argv += draw(flag("--corrupt-support"))
     # an option the subcommand does not have, or no scenario at all
     return draw(st.sampled_from([argv, argv, argv, argv + ["--bogus"],
                                  [command]]))

@@ -1,6 +1,7 @@
 """Tests for the discretized-channel oracle."""
 
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fddof import (
     ArrayHalfLengths,
@@ -230,6 +232,50 @@ class TestNumericalRank:
             numerical_rank(matrix, rank_tol=1e-9)
 
 
+def old_numerical_rank(matrix, rank_tol):
+    """The rank and the warning verdict of the former rule: a window test
+    over every singular value, and a silent count."""
+    if matrix.size == 0:
+        return 0, False
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    threshold = rank_tol * float(svals[0])
+    near = np.sum((svals > threshold / 10) & (svals < threshold * 10))
+    if float(svals[0]) == 0.0:
+        return 0, bool(near)
+    return int(np.sum(svals > threshold)), bool(near)
+
+
+@st.composite
+def diagonals(draw):
+    """rank_tol and descending values, largest first, that include the
+    threshold t = rank_tol * largest, t / 10, 10 t and zeros."""
+    rank_tol = draw(st.sampled_from([1e-9, 1e-6, 1e-2]))
+    top = draw(st.sampled_from([0.0, 1.0, 3.7, 2.5e-4, 1e3]))
+    t = rank_tol * top
+    rest = draw(st.lists(
+        st.one_of(
+            st.sampled_from([t / 10, t, t * 10, 0.0]),
+            st.floats(0, top),
+            st.floats(0, 20 * t),
+        ),
+        max_size=6,
+    ))
+    values = [top] + sorted((x for x in rest if x <= top), reverse=True)
+    return rank_tol, values[: draw(st.integers(0, len(values)))]
+
+
+@given(diagonals())
+@settings(max_examples=300, deadline=None)
+def test_rank_rule_matches_the_former_rule(case):
+    rank_tol, values = case
+    matrix = np.diag(np.asarray(values, dtype=float))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rank = numerical_rank(matrix, rank_tol)
+    assert (rank, bool(caught)) == old_numerical_rank(matrix, rank_tol)
+    assert all(w.category is RankToleranceWarning for w in caught)
+
+
 # -- zero forcing -------------------------------------------------------------------
 
 class TestZeroForcing:
@@ -370,6 +416,32 @@ class TestZeroForcingEdges:
         assert ch.s12.size and not ch.s12.any()
         result = assert_matches_reference(g)
         assert (result.p12_dim, result.max_leakage) == (2, 0.0)
+
+    def test_kernel_decision_near_its_threshold_warns(self):
+        # r12 disjoint from r11, plus a component inside range(s11) at
+        # twice the kernel threshold: m's largest singular value is 2 t
+        g = replace(no_interference_geometry(), t12=ds((-1, 0)),
+                    r12=ds((-1, 0)))
+        ch = sample_channel(g, seed=0)
+        inside = ch.s11[:, :1] / np.linalg.norm(ch.s11[:, :1])
+        across = np.ones((1, ch.s12.shape[1])) / np.sqrt(ch.s12.shape[1])
+        bump = 2 * ch.rank_tol * np.linalg.norm(ch.s12, 2) * inside @ across
+        ch = replace(ch, s12=ch.s12 + bump)
+        threshold = ch.rank_tol * np.linalg.norm(ch.s12, 2)
+        with pytest.warns(RankToleranceWarning, match=f"{threshold:.3e}"):
+            zero_forcing_corner(ch, g)
+
+    def test_flow_1_decision_near_its_threshold_warns(self):
+        # s11's smallest singular value set to twice its threshold
+        g = no_interference_geometry()
+        ch = sample_channel(g, seed=0)
+        u, sv, vh = np.linalg.svd(ch.s11)
+        sv[-1] = 2 * ch.rank_tol * sv[0]
+        ch = replace(ch, s11=(u * sv) @ vh)
+        threshold = ch.rank_tol * np.linalg.norm(ch.s11, 2)
+        with pytest.warns(RankToleranceWarning, match=f"{threshold:.3e}"):
+            result = zero_forcing_corner(ch, g)
+        assert result.d1 == 2
 
     @pytest.mark.parametrize("empty", [("t22", "t12"), ("r11", "r12")])
     def test_zero_size_s12(self, empty):

@@ -1,5 +1,6 @@
 """Unit and property tests for the region and corner-point formulas."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -33,9 +34,11 @@ from geom_helpers import (
     TOUCHING,
     direction_sets,
     ds,
+    dual,
     fraction_endpoints,
     lengths_st,
     mixed_geometries,
+    random_geometry,
     reference_contains,
     reference_genie_expand,
     reference_is_subset_of,
@@ -105,6 +108,18 @@ class TestCaps:
 
 # -- corner points ---------------------------------------------------------------
 
+def assert_reciprocal(g):
+    """Swapping the uplink and downlink roles mirrors the link products,
+    swaps the corners (each read back in (d1, d2) order) and the caps."""
+    k, a, b, c, d, e, f, p, q, r, s, u, v = link_products(g)
+    assert link_products(dual(g)) == (k, d, c, b, a, f, e, r, s, p, q, v, u)
+    cp, cp_dual = corner_points(g), corner_points(dual(g))
+    assert cp_dual.p_prime == cp.p_double_prime[::-1]
+    assert cp_dual.p_double_prime == cp.p_prime[::-1]
+    d1, d2, dsum = fd_caps(g)
+    assert fd_caps(dual(g)) == (d2, d1, dsum)
+
+
 class TestCornerPoints:
     def test_symmetric_unit_overlap_three_quarters(self):
         cp = corner_points(symmetric_overlap(1, F(3, 4)))
@@ -138,6 +153,17 @@ class TestCornerPoints:
         cp = corner_points(g)
         assert cp.p_prime[0] >= cp.p_double_prime[0]
         assert cp.p_prime[1] <= cp.p_double_prime[1]
+
+    @given(mixed_geometries())
+    @example(TOUCHING)
+    @example(EMPTY)
+    def test_dual_swaps_the_corners(self, g):
+        assert_reciprocal(g)
+
+    def test_dual_swaps_the_corners_on_the_criterion_2_set(self):
+        rng = random.Random(20260810)
+        for _ in range(10_000):
+            assert_reciprocal(random_geometry(rng, max_fragments=3, den=64))
 
     @given(geometries(), st.integers(1, 5 * GRID).map(lambda n: F(n, GRID)))
     def test_scaling_lengths_scales_everything(self, g, c):

@@ -13,11 +13,13 @@ import pytest
 
 from fddof import (
     DirectionSet,
+    corrupt_support,
     fd_caps,
     load_scenario,
     make_fully_spread,
     parse_scenario,
     region_from_caps,
+    sample_channel,
     save_scenario,
 )
 from fddof import cli
@@ -223,9 +225,18 @@ class TestExitCodes:
 
     def test_quantization_without_rescale_is_6(self, capsys):
         assert main(["verify", SYMMETRIC, "--seeds", "2"]) == 6
-        err = capsys.readouterr().err
-        assert "quantization" in err
-        assert "--auto-rescale" in err
+        captured = capsys.readouterr()
+        assert "quantization" in captured.err
+        assert "--auto-rescale" in captured.err
+        # refused before the caps, the corners or the seed table
+        for line in ("caps:", "corners:", "seed  rank11"):
+            assert line not in captured.out
+
+    def test_corrupt_support_option_is_a_usage_error_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", SYMMETRIC, "--auto-rescale", "--corrupt-support"])
+        assert info.value.code == 2
+        assert "--corrupt-support" in capsys.readouterr().err
 
     def test_dimension_budget_is_7_before_allocating(self, tmp_path, capsys):
         # a 45 degree span has a 12-digit cosine endpoint: rescale 5*10^11
@@ -519,20 +530,24 @@ class TestVerifyCommand:
         assert code == 0
         assert "(2,2)" in out
 
-    def test_corrupted_support_fails_with_exit_1(self, capsys):
-        code = main(
-            [
-                "verify",
-                SYMMETRIC,
-                "--auto-rescale",
-                "--seeds",
-                "3",
-                "--corrupt-support",
-            ]
-        )
+    def test_corrupted_support_fails_with_exit_1(self, monkeypatch, capsys):
+        def corrupted(g, seed, rank_tol):
+            return corrupt_support(sample_channel(g, seed, rank_tol), g)
+
+        monkeypatch.setattr(cli, "sample_channel", corrupted)
+        code = main(["verify", SYMMETRIC, "--auto-rescale", "--seeds", "3"])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_readme_example_passes(self, path, capsys):
+        # at the scenario's own seed count; a rank decision within a decade
+        # of its threshold fails here under the warning filter
+        assert main(["verify", str(path), "--auto-rescale"]) == 0
+        assert "RESULT: PASS" in capsys.readouterr().out
 
     def test_fully_spread_outside_case_conditions_still_passes(self, capsys):
         code = main(["verify", FULLY_SPREAD, "--seeds", "3"])
