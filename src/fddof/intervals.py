@@ -114,10 +114,6 @@ class DirectionSet:
         return out
 
     @classmethod
-    def empty(cls) -> "DirectionSet":
-        return cls()
-
-    @classmethod
     def full(cls) -> "DirectionSet":
         return cls([(LOWER, UPPER)])
 
@@ -274,28 +270,30 @@ def scaled_endpoints(
 
 def scaled_atoms(
     sets: Sequence[DirectionSet],
-) -> tuple[int, list[tuple[int, int]]]:
-    """The atoms of ``refine(sets)`` as integer pairs over one ``den``.
+) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """The atoms of ``refine(sets)`` as integer pairs over one ``den``, and
+    per atom the bit mask of the sets that cover it (bit i for ``sets[i]``).
 
-    Every breakpoint opens or closes an interval of some set, and a
-    canonical set never closes one interval and opens the next at the same
-    point, so membership changes at each breakpoint: the atoms are exactly
-    the pieces between consecutive breakpoints that some set covers.
+    A canonical set never closes one interval and opens the next at the
+    same point, so its bit flips exactly at its own endpoints and
+    membership changes at every breakpoint: the atoms are exactly the
+    pieces between consecutive breakpoints that some set covers.
     """
     den, scaled = scaled_endpoints([ds.intervals for ds in sets])
-    depth: dict[int, int] = {}
-    for intervals in scaled:
+    flips: dict[int, int] = {}
+    for bit, intervals in enumerate(scaled):
         for lo, hi in intervals:
-            depth[lo] = depth.get(lo, 0) + 1
-            depth[hi] = depth.get(hi, 0) - 1
-    points = sorted(depth)
-    atoms = []
+            flips[lo] = flips.get(lo, 0) ^ (1 << bit)
+            flips[hi] = flips.get(hi, 0) ^ (1 << bit)
+    points = sorted(flips)
+    atoms, members = [], []
     cover = 0
     for lo, hi in zip(points, points[1:]):
-        cover += depth[lo]
+        cover ^= flips[lo]
         if cover:
             atoms.append((lo, hi))
-    return den, atoms
+            members.append(cover)
+    return den, atoms, members
 
 
 def refine(sets: Sequence[DirectionSet]) -> list[DirectionSet]:
@@ -306,5 +304,5 @@ def refine(sets: Sequence[DirectionSet]) -> list[DirectionSet]:
     ``refine([a])`` returns a's connected components.  Atoms are pairwise
     disjoint and cover exactly the union of the inputs.
     """
-    den, atoms = scaled_atoms(sets)
+    den, atoms, _ = scaled_atoms(sets)
     return [DirectionSet._from_scaled([atom], den) for atom in atoms]

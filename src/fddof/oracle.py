@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import DirectionSet, scaled_atoms
-from .regions import ScatteringGeometry, link_products
+from .regions import LinkProducts, ScatteringGeometry, link_products
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -109,7 +109,8 @@ class SpaceAllocation:
     """Basis-function counts per refinement atom of one signal space.
 
     Atom i is the interval [lo / den, hi / den) for (lo, hi) = bounds[i],
-    left to right, and carries dims[i] basis functions.
+    left to right, and carries dims[i] basis functions; bit j of
+    members[i] is set when member j of the space's family covers it.
     """
 
     label: str
@@ -117,6 +118,7 @@ class SpaceAllocation:
     den: int
     bounds: tuple[tuple[int, int], ...]
     dims: tuple[int, ...]
+    members: tuple[int, ...]
 
     @property
     def atoms(self) -> tuple[DirectionSet, ...]:
@@ -126,31 +128,10 @@ class SpaceAllocation:
     def total(self) -> int:
         return sum(self.dims)
 
-    def mask_within(self, support: DirectionSet) -> np.ndarray:
-        """Boolean per basis function: True when its atom lies in ``support``.
-
-        Support intervals are disjoint and never touch, so an atom lies in
-        the support exactly when it lies in the first support interval
-        that ends after the atom starts.
-        """
-        den = self.den
-        intervals = support.intervals
-        flags = []
-        j = 0
-        for lo, hi in self.bounds:
-            while j < len(intervals) and (
-                intervals[j][1].numerator * den
-                <= lo * intervals[j][1].denominator
-            ):
-                j += 1
-            if j < len(intervals):
-                slo, shi = intervals[j]
-                flags.append(
-                    slo.numerator * den <= lo * slo.denominator
-                    and hi * shi.denominator <= shi.numerator * den
-                )
-            else:
-                flags.append(False)
+    def mask(self, member: int) -> np.ndarray:
+        """Boolean per basis function: True when family member ``member``
+        covers its atom."""
+        flags = [bool(m >> member & 1) for m in self.members]
         return np.repeat(np.asarray(flags, dtype=bool), self.dims)
 
 
@@ -180,7 +161,7 @@ def integer_scale(g: ScatteringGeometry) -> int:
     """Least positive integer length multiplier making all atom dims integral."""
     scale = 1
     for _, length, family in _space_families(g):
-        den, bounds = scaled_atoms(family)
+        den, bounds, _ = scaled_atoms(family)
         unit = length.denominator * den
         twice = 2 * length.numerator
         for lo, hi in bounds:
@@ -211,7 +192,7 @@ def allocate_basis(g: ScatteringGeometry) -> BasisAllocation:
     for label, length, family in _space_families(g):
         # an atom of width (hi - lo) / den carries 2 * length * width
         # basis functions: an integer over unit
-        den, bounds = scaled_atoms(family)
+        den, bounds, members = scaled_atoms(family)
         unit = length.denominator * den
         twice = 2 * length.numerator
         dims = []
@@ -228,7 +209,7 @@ def allocate_basis(g: ScatteringGeometry) -> BasisAllocation:
                 )
             dims.append(dim)
         spaces[label] = SpaceAllocation(
-            label, length, den, tuple(bounds), tuple(dims)
+            label, length, den, tuple(bounds), tuple(dims), tuple(members)
         )
     return BasisAllocation(**spaces)
 
@@ -251,12 +232,13 @@ class DiscretizedChannel:
     rank_tol: float = DEFAULT_RANK_TOL
 
 
-def _support_masks(alloc: BasisAllocation, g: ScatteringGeometry):
-    """Row and column support masks of each operator, in draw order."""
+def _support_masks(alloc: BasisAllocation):
+    """Row and column support masks of each operator, in draw order: its
+    receive and transmit supports are members of those spaces' families."""
     return {
-        "s11": (alloc.r1.mask_within(g.r11), alloc.t1.mask_within(g.t11)),
-        "s12": (alloc.r1.mask_within(g.r12), alloc.t2.mask_within(g.t12)),
-        "s22": (alloc.r2.mask_within(g.r22), alloc.t2.mask_within(g.t22)),
+        "s11": (alloc.r1.mask(0), alloc.t1.mask(0)),  # r11 x t11
+        "s12": (alloc.r1.mask(1), alloc.t2.mask(1)),  # r12 x t12
+        "s22": (alloc.r2.mask(0), alloc.t2.mask(0)),  # r22 x t22
     }
 
 
@@ -271,15 +253,27 @@ def _sample_block(rng, row_mask, col_mask):
     return out
 
 
-def _space_totals(g: ScatteringGeometry) -> tuple[int, tuple[int, ...]]:
-    """``k`` and the basis-function totals of t1, t2, r1 and r2 times k.
+def _space_totals(products: LinkProducts) -> tuple[int, ...]:
+    """Basis-function totals of t1, t2, r1 and r2 times ``k``: 2L times the
+    measure of each space's union of supports, which is the allocation
+    total whenever the geometry is integral."""
+    _, a, b, c, d, _, _, _, _, _, _, u, v = products
+    return 2 * a, 2 * (c + v), 2 * (b + u), 2 * d
 
-    Each total is 2L times the measure of the space's union of supports,
-    read from ``link_products``; it equals the allocation total whenever
-    the geometry is integral.
-    """
-    k, a, b, c, d, _, _, _, _, _, _, u, v = link_products(g)
-    return k, (2 * a, 2 * (c + v), 2 * (b + u), 2 * d)
+
+def _checked_products(
+    ch: DiscretizedChannel, g: ScatteringGeometry
+) -> LinkProducts:
+    """``link_products(g)``; raises ValueError unless the three shapes of
+    ``ch`` match the space totals of ``g``."""
+    products = link_products(g)
+    k = products.k
+    t1, t2, r1, r2 = _space_totals(products)
+    shapes = ((r1, t1), (r1, t2), (r2, t2))
+    for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
+        if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):
+            raise ValueError("channel was not sampled from this geometry")
+    return products
 
 
 def check_dimension_budget(g: ScatteringGeometry) -> None:
@@ -289,10 +283,10 @@ def check_dimension_budget(g: ScatteringGeometry) -> None:
     for a non-integral geometry too: an integer rescale only multiplies
     the totals, so such a geometry cannot be brought under the budget.
     """
-    k, totals = _space_totals(g)
-    for label, total in zip(("t1", "t2", "r1", "r2"), totals):
-        if total > MAX_SPACE_DIM * k:
-            raise DimensionBudgetError(label, Fraction(total, k))
+    products = link_products(g)
+    for label, total in zip(("t1", "t2", "r1", "r2"), _space_totals(products)):
+        if total > MAX_SPACE_DIM * products.k:
+            raise DimensionBudgetError(label, Fraction(total, products.k))
 
 
 def sample_channel(
@@ -311,7 +305,7 @@ def sample_channel(
     rng = np.random.default_rng(seed)
     s11, s12, s22 = (
         _sample_block(rng, rows, cols)
-        for rows, cols in _support_masks(alloc, g).values()
+        for rows, cols in _support_masks(alloc).values()
     )
     return DiscretizedChannel(s11, s12, s22, alloc, seed, rank_tol)
 
@@ -319,33 +313,27 @@ def sample_channel(
 def corrupt_support(
     ch: DiscretizedChannel, g: ScatteringGeometry
 ) -> DiscretizedChannel:
-    """Negative-control hook: force a rank identity to fail on one matrix.
+    """Negative-control hook: move one matrix's rank off its identity by one.
 
-    A rank-one plant raises the rank only when the planted row direction is
-    outside the range and the planted column direction is outside the row
-    space, so the corruption picks its cell (or falls back to deleting a
-    supported row or column of a full-generic-rank matrix) accordingly.
+    A supported block of r rows and c columns has generic rank min(r, c):
+    an empty block gets one entry, otherwise one supported column (c <= r)
+    or row (c > r) is zeroed.  Raises ValueError when ``ch`` was not
+    sampled from ``g``.
     """
-    masks = _support_masks(ch.allocation, g)
+    _checked_products(ch, g)
+    masks = _support_masks(ch.allocation)
     for name in ("s12", "s11", "s22"):
         mat = getattr(ch, name)
         if mat.size == 0:
             continue
-        row_mask, col_mask = masks[name]
-        dead_rows = np.flatnonzero(~row_mask)
-        dead_cols = np.flatnonzero(~col_mask)
-        live = int(min(row_mask.sum(), col_mask.sum()))  # generic rank
+        rows, cols = (np.flatnonzero(mask) for mask in masks[name])
         patched = mat.copy()
-        if dead_rows.size and dead_cols.size:
-            patched[dead_rows[0], dead_cols[0]] = 1.0
-        elif dead_rows.size and live < mat.shape[1]:
-            patched[dead_rows[0], 0] = 1.0
-        elif dead_cols.size and live < mat.shape[0]:
-            patched[0, dead_cols[0]] = 1.0
-        elif int(col_mask.sum()) <= int(row_mask.sum()):
-            patched[:, np.flatnonzero(col_mask)[0]] = 0.0
+        if not (rows.size and cols.size):
+            patched[0, 0] = 1.0
+        elif cols.size <= rows.size:
+            patched[:, cols[0]] = 0.0
         else:
-            patched[0, :] = 0.0
+            patched[rows[0], :] = 0.0
         return replace(ch, **{name: patched})
     raise ValueError("all matrices are empty; nothing to corrupt")
 
@@ -396,14 +384,15 @@ def verify_operator_dims(
     Rank of each operator is twice the smaller of its two length-weighted
     support widths; the nullity of the self-interference operator and the
     codimension of the uplink operator's range follow from the support
-    overlaps.  All comparisons are integer equalities.
+    overlaps.  All comparisons are integer equalities.  Raises ValueError
+    when the channel's shapes do not match the space totals of ``g``.
     """
+    k, a, b, c, d, e, f, p, _, _, _, u, _ = _checked_products(ch, g)
     tol = ch.rank_tol
     rank11 = numerical_rank(ch.s11, tol)
     rank12 = numerical_rank(ch.s12, tol)
     rank22 = numerical_rank(ch.s22, tol)
 
-    k, a, b, c, d, e, f, p, _, _, _, u, _ = link_products(g)
     exp_rank11 = _as_int(2 * min(a, b), k)
     exp_rank12 = _as_int(2 * min(e, f), k)
     exp_rank22 = _as_int(2 * min(c, d), k)
@@ -452,12 +441,7 @@ def zero_forcing_corner(
     spectral norm of s12.  Raises ValueError when the channel's shapes do
     not match the space totals of ``g``.
     """
-    k, (t1, t2, r1, r2) = _space_totals(g)
-    shapes = ((r1, t1), (r1, t2), (r2, t2))
-    for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
-        if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):
-            raise ValueError("channel was not sampled from this geometry")
-
+    _checked_products(ch, g)
     tol = ch.rank_tol
     u11, sv11, _ = np.linalg.svd(ch.s11, full_matrices=False)
     d1 = _rank(sv11, tol * sv11.max(initial=0.0))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .intervals import DirectionSet, DomainError, MalformedIntervalError
 from .oracle import DEFAULT_RANK_TOL
@@ -124,11 +124,34 @@ def _pair_list(value: Any, path: str) -> list[tuple[Fraction, Fraction]]:
     return pairs
 
 
+def _object(value: Any, path: str, keys: tuple[str, ...]) -> dict:
+    """``value``, checked to be an object with no keys outside ``keys``."""
+    if not isinstance(value, dict):
+        raise SchemaError(path, "expected an object")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise SchemaError(path, f"unknown keys {sorted(unknown)}")
+    return value
+
+
+def _section(
+    data: dict, name: str, keys: tuple[str, ...], parse: Callable
+) -> dict:
+    """Required object ``name`` with every one of ``keys``, each parsed."""
+    if name not in data:
+        raise SchemaError(name, "missing")
+    block = _object(data[name], name, keys)
+    values = {}
+    for key in keys:
+        if key not in block:
+            raise SchemaError(f"{name}.{key}", "missing")
+        values[key] = parse(block[key], f"{name}.{key}")
+    return values
+
+
 def _direction_set(value: Any, path: str) -> DirectionSet:
     if isinstance(value, dict):
-        unknown = set(value) - {"angles_deg"}
-        if unknown:
-            raise SchemaError(path, f"unknown keys {sorted(unknown)}")
+        _object(value, path, ("angles_deg",))
         if "angles_deg" not in value:
             raise SchemaError(path, "interval object needs 'angles_deg'")
         pairs = _pair_list(value["angles_deg"], f"{path}.angles_deg")
@@ -154,42 +177,12 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     except UnicodeEncodeError:
         raise SchemaError("name", "not valid Unicode text") from None
 
-    if "lengths" not in data:
-        raise SchemaError("lengths", "missing")
-    lengths = data["lengths"]
-    if not isinstance(lengths, dict):
-        raise SchemaError("lengths", "expected an object")
-    unknown = set(lengths) - set(_LENGTH_KEYS)
-    if unknown:
-        raise SchemaError("lengths", f"unknown keys {sorted(unknown)}")
-    length_values = {}
-    for key in _LENGTH_KEYS:
-        if key not in lengths:
-            raise SchemaError(f"lengths.{key}", "missing")
-        length_values[key] = _rational(lengths[key], f"lengths.{key}")
-
-    if "intervals" not in data:
-        raise SchemaError("intervals", "missing")
-    intervals = data["intervals"]
-    if not isinstance(intervals, dict):
-        raise SchemaError("intervals", "expected an object")
-    unknown = set(intervals) - set(_INTERVAL_KEYS)
-    if unknown:
-        raise SchemaError("intervals", f"unknown keys {sorted(unknown)}")
-    sets = {}
-    for key in _INTERVAL_KEYS:
-        if key not in intervals:
-            raise SchemaError(f"intervals.{key}", "missing")
-        sets[key] = _direction_set(intervals[key], f"intervals.{key}")
+    length_values = _section(data, "lengths", _LENGTH_KEYS, _rational)
+    sets = _section(data, "intervals", _INTERVAL_KEYS, _direction_set)
 
     oracle = OracleSettings()
     if "oracle" in data:
-        block = data["oracle"]
-        if not isinstance(block, dict):
-            raise SchemaError("oracle", "expected an object")
-        unknown = set(block) - {"seeds", "rank_tol"}
-        if unknown:
-            raise SchemaError("oracle", f"unknown keys {sorted(unknown)}")
+        block = _object(data["oracle"], "oracle", ("seeds", "rank_tol"))
         seeds = block.get("seeds", DEFAULT_SEEDS)
         if (not isinstance(seeds, int) or isinstance(seeds, bool)
                 or not 1 <= seeds <= MAX_SEEDS):

@@ -20,6 +20,7 @@ from fddof import (
     ScatteringGeometry,
     allocate_basis,
     integer_rescale,
+    link_products,
     make_symmetric,
     zf_case_applies,
 )
@@ -234,7 +235,8 @@ def reference_allocation(g: ScatteringGeometry) -> dict:
 
 
 def reference_mask(atoms, dims, support: DirectionSet) -> np.ndarray:
-    """``mask_within`` by DirectionSet differences."""
+    """``SpaceAllocation.mask`` by DirectionSet differences: True per basis
+    function when its atom lies in ``support``."""
     flags = [atom.issubset(support) for atom in atoms]
     return np.repeat(np.asarray(flags, dtype=bool), dims)
 
@@ -263,7 +265,9 @@ def reference_zero_forcing_corner(
     spectral norm of s12.  Raises ValueError when the channel's shapes do
     not match the space totals of ``g``.
     """
-    k, (t1, t2, r1, r2) = _space_totals(g)
+    products = link_products(g)
+    k = products.k
+    t1, t2, r1, r2 = _space_totals(products)
     shapes = ((r1, t1), (r1, t2), (r2, t2))
     for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
         if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):

@@ -214,10 +214,85 @@ class TestOperatorDims:
         ch = corrupt_support(sample_channel(g, seed=0), g)
         assert not verify_operator_dims(ch, g).all_ok
 
-    def test_corrupt_support_without_holes_zeroes_a_row(self):
+
+def corrupted_rank_change(g):
+    """The one matrix ``corrupt_support`` changes, its rank before and
+    after, and the corrupted matrix; the corrupted channel must fail
+    ``verify_operator_dims``."""
+    ch = sample_channel(g, seed=0)
+    bad = corrupt_support(ch, g)
+    changed = [
+        name for name in ("s11", "s12", "s22")
+        if not np.array_equal(getattr(ch, name), getattr(bad, name))
+    ]
+    assert len(changed) == 1
+    assert not verify_operator_dims(bad, g).all_ok
+    name = changed[0]
+    return (
+        name,
+        numerical_rank(getattr(ch, name)),
+        numerical_rank(getattr(bad, name)),
+        getattr(bad, name),
+    )
+
+
+class TestCorruptSupport:
+    def test_empty_block_gets_one_entry(self):
+        # s12 is 5 x 4 (r1 by t2) with no supported column
+        g = replace(symmetric_overlap(2, F(3, 4)), t12=DirectionSet())
+        *change, bad = corrupted_rank_change(g)
+        assert change == ["s12", 0, 1]
+        assert bad.shape == (5, 4)
+        assert bad[0, 0] == np.count_nonzero(bad) == 1
+
+    def test_corrupt_support_without_holes_zeroes_a_column(self):
         g = make_fully_spread(1, 1)  # every entry is structurally supported
-        ch = corrupt_support(sample_channel(g, seed=0), g)
-        assert not verify_operator_dims(ch, g).all_ok
+        *change, bad = corrupted_rank_change(g)
+        assert change == ["s12", 4, 3]
+        assert bad.shape == (4, 4)
+        assert not bad[:, 0].any() and bad[:, 1:].all()
+
+    def test_more_supported_columns_than_rows_zeroes_a_row(self):
+        # r12 carries 4 receive, t12 carries 8 transmit basis functions
+        g = replace(
+            symmetric_overlap(2, F(3, 4)),
+            lengths=ArrayHalfLengths(2, 2, 4, 2),
+        )
+        *change, bad = corrupted_rank_change(g)
+        assert change == ["s12", 4, 3]
+        # the first receive atom, backscatter-only, is r12's first row
+        assert not bad[0, :].any() and np.count_nonzero(bad) == 3 * 8
+
+    def test_empty_s12_passes_to_s11(self):
+        g = replace(
+            no_interference_geometry(), t22=DirectionSet(), t12=DirectionSet()
+        )
+        assert sample_channel(g, seed=0).s12.size == 0
+        assert corrupted_rank_change(g)[:3] == ("s11", 2, 1)
+
+    def test_all_matrices_empty_is_refused(self):
+        ch = sample_channel(EMPTY, seed=0)
+        with pytest.raises(ValueError, match="all matrices are empty"):
+            corrupt_support(ch, EMPTY)
+
+    def test_every_case_moves_one_rank_by_one(self):
+        rng = random.Random(812)
+        for _ in range(40):
+            g = random_integral_geometry(rng, max_dim=48)
+            if any(getattr(sample_channel(g, 0), name).size
+                   for name in ("s11", "s12", "s22")):
+                _, before, after, _ = corrupted_rank_change(g)
+                assert abs(after - before) == 1
+
+
+@pytest.mark.parametrize(
+    "consumer", [verify_operator_dims, zero_forcing_corner, corrupt_support]
+)
+def test_channel_from_another_geometry_is_rejected(consumer):
+    g = symmetric_overlap(2, F(3, 4))
+    ch = sample_channel(g.scaled(2), seed=0)
+    with pytest.raises(ValueError, match="not sampled from this geometry"):
+        consumer(ch, g)
 
 
 class TestNumericalRank:
@@ -514,7 +589,8 @@ class TestAllocationInvariants:
             )
             for mat, rows, row_set, cols, col_set in cases:
                 mask = np.outer(
-                    rows.mask_within(row_set), cols.mask_within(col_set)
+                    reference_mask(rows.atoms, rows.dims, row_set),
+                    reference_mask(cols.atoms, cols.dims, col_set),
                 )
                 assert not mat[~mask].any()
                 # continuous draws are nonzero almost surely
@@ -583,7 +659,6 @@ def assert_allocation_matches_reference(g):
             want.suggested_scale, str(want))
         return
     alloc = allocate_basis(g)
-    supports = (g.t11, g.r11, g.t22, g.r22, g.t12, g.r12)
     for label, (atoms, dims) in expected.items():
         space = getattr(alloc, label)
         assert (space.label, space.length) == (label, families[label][0])
@@ -591,17 +666,17 @@ def assert_allocation_matches_reference(g):
         assert fraction_endpoints(space.atoms)
         assert space.dims == dims
         assert space.total == sum(dims)
-        # family members contain or miss each atom; the other supports
-        # may cut one, which must read as not contained
+        # family member i contains or misses each atom; its mask reads
+        # bit i of the refinement's membership
         per_atom = replace(space, dims=(1,) * len(dims))
-        for support in supports:
+        for member, support in enumerate(families[label][1]):
             assert np.array_equal(
-                per_atom.mask_within(support),
+                per_atom.mask(member),
                 reference_mask(atoms, [1] * len(atoms), support),
             )
             if space.total <= MAX_SPACE_DIM:
                 assert np.array_equal(
-                    space.mask_within(support),
+                    space.mask(member),
                     reference_mask(atoms, dims, support),
                 )
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from fddof import (
     ArrayHalfLengths,
+    CornerPoints,
     DegenerateGeometryError,
     DirectionSet,
+    DofRegion,
     DomainError,
     RegionRelation,
     ScatteringGeometry,
@@ -121,6 +123,23 @@ def assert_reciprocal(g):
 
 
 class TestCornerPoints:
+    @pytest.mark.parametrize(
+        "p_prime,p_double_prime,message",
+        [
+            ((-1, 2), (1, 2), "must be nonnegative"),
+            ((2, 1), (1, -1), "must be nonnegative"),
+            ((1, 1), (2, 2), "do not bracket"),  # p' left of p''
+            ((2, 2), (1, 1), "do not bracket"),  # p' above p''
+        ],
+    )
+    def test_invalid_corners_are_refused(self, p_prime, p_double_prime,
+                                         message):
+        corners = (
+            tuple(F(x) for x in p_prime), tuple(F(x) for x in p_double_prime)
+        )
+        with pytest.raises(ValueError, match=message):
+            CornerPoints(*corners)
+
     def test_symmetric_unit_overlap_three_quarters(self):
         cp = corner_points(symmetric_overlap(1, F(3, 4)))
         assert cp.p_prime == (2, 1)
@@ -218,6 +237,21 @@ class TestRegions:
     def test_region_from_caps_rejects_low_sum(self):
         with pytest.raises(ValueError):
             region_from_caps(2, 2, 1)
+
+    @pytest.mark.parametrize(
+        "vertices,message",
+        [
+            (((F(-1), F(0)),), "violates the caps"),
+            (((F(0), F(-1)),), "violates the caps"),
+            (((F(3), F(0)),), "violates the caps"),
+            (((F(0), F(3)),), "violates the caps"),
+            (((F(2), F(2)),), "violates the sum cap"),
+        ],
+    )
+    def test_region_refuses_a_vertex_outside_its_caps(self, vertices,
+                                                      message):
+        with pytest.raises(ValueError, match=f"vertex .* {message}"):
+            DofRegion(F(2), F(2), F(3), vertices)
 
     def test_pentagon_area(self):
         region = fd_region(symmetric_overlap(1, F(3, 4)))

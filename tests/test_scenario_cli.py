@@ -152,6 +152,46 @@ class TestExitCodes:
         assert code == 3
         assert "lengths.l_r1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda d: d.update(lengths=[]), "lengths: expected an object"),
+            (lambda d: d["lengths"].update(l_x="1"),
+             "lengths: unknown keys ['l_x']"),
+            (lambda d: d["lengths"].pop("l_r2"), "lengths.l_r2: missing"),
+            (lambda d: d.pop("lengths"), "lengths: missing"),
+            (lambda d: d.update(intervals="t11"),
+             "intervals: expected an object"),
+            (lambda d: d["intervals"].update(t13=[]),
+             "intervals: unknown keys ['t13']"),
+            (lambda d: d["intervals"].pop("r11"), "intervals.r11: missing"),
+            (lambda d: d.pop("intervals"), "intervals: missing"),
+            (lambda d: d.update(oracle=[1]), "oracle: expected an object"),
+            (lambda d: d.update(oracle={"seeds": 1, "seed": 2}),
+             "oracle: unknown keys ['seed']"),
+            (lambda d: d["intervals"].update(t11=5),
+             "intervals.t11: expected a list of [lo, hi] pairs"),
+            (lambda d: d["intervals"].update(
+                t11={"angles_deg": [[0, 60]], "deg": 1}),
+             "intervals.t11: unknown keys ['deg']"),
+            (lambda d: d["intervals"].update(t11={}),
+             "intervals.t11: interval object needs 'angles_deg'"),
+        ],
+        ids=[
+            "lengths-not-object", "lengths-unknown", "lengths-key-missing",
+            "lengths-missing", "intervals-not-object", "intervals-unknown",
+            "intervals-key-missing", "intervals-missing", "oracle-not-object",
+            "oracle-unknown", "angles-not-object", "angles-unknown",
+            "angles-missing",
+        ],
+    )
+    def test_object_violation_is_3_with_its_message(self, tmp_path, mutate,
+                                                     message, capsys):
+        data = base_scenario_dict()
+        mutate(data)
+        assert main(["region", write_json(tmp_path, data)]) == 3
+        assert capsys.readouterr().err == f"error: schema: {message}\n"
+
     def test_invalid_json_is_3(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -174,6 +214,29 @@ class TestExitCodes:
 
     def test_out_of_range_grid_is_5(self, capsys):
         assert main(["sweep", SYMMETRIC, "--grid", "3/2"]) == 5
+
+    @pytest.mark.parametrize(
+        "intervals,grid,message",
+        [
+            ({"r22": [["0", "1/2"]]}, "0",
+             "sweep base must share one forward interval set"),
+            ({"r12": [["-1/4", "1/2"]]}, "0",
+             "sweep base must share one backscatter interval set"),
+            ({**{key: [["-1", "1/2"]] for key in ("t11", "r11", "t22", "r22")},
+              "t12": [["0", "1"]], "r12": [["0", "1"]]}, "0",
+             "cannot place backscatter measure 1 with overlap 0: not enough "
+             "room outside the forward set"),
+            ({}, ",", "--grid is empty"),
+        ],
+        ids=["forward", "backscatter", "no-room", "empty-grid"],
+    )
+    def test_bad_sweep_base_or_grid_is_5(self, tmp_path, intervals, grid,
+                                         message, capsys):
+        data = base_scenario_dict()
+        data["intervals"].update(intervals)
+        path = write_json(tmp_path, data)
+        assert main(["sweep", path, "--grid", grid]) == 5
+        assert capsys.readouterr().err == f"error: sweep base: {message}\n"
 
     def test_sum_cap_rising_with_overlap_is_4(self, tmp_path, monkeypatch,
                                               capsys):
@@ -463,6 +526,13 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "relation: HD strictly inside FD" in out
         assert "area gain FD/HD" in out
+
+    def test_degenerate_hd_region_has_no_area_gain(self, tmp_path, capsys):
+        data = base_scenario_dict()
+        data["intervals"]["t11"] = []  # flow 1 has no dimensions
+        assert main(["compare", write_json(tmp_path, data)]) == 0
+        out = capsys.readouterr().out
+        assert "area gain FD/HD: n/a (degenerate HD region)\n" in out
 
     def test_fully_spread_equal_arrays(self, tmp_path, capsys):
         data = {
