@@ -219,9 +219,6 @@ class DirectionSet:
     def issubset(self, other: "DirectionSet") -> bool:
         return not self.difference(other)
 
-    def components(self) -> tuple["DirectionSet", ...]:
-        return tuple(DirectionSet([iv]) for iv in self.intervals)
-
     def take_from_left(self, amount: Rational) -> "DirectionSet":
         """Leftmost subset with exactly the requested measure."""
         need = _frac(amount)

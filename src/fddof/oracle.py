@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import DirectionSet, scaled_atoms
-from .regions import LinkProducts, ScatteringGeometry, link_products
+from .regions import ScatteringGeometry, link_products
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -121,10 +121,6 @@ class SpaceAllocation:
     members: tuple[int, ...]
 
     @property
-    def atoms(self) -> tuple[DirectionSet, ...]:
-        return tuple(_atom(lo, hi, self.den) for lo, hi in self.bounds)
-
-    @property
     def total(self) -> int:
         return sum(self.dims)
 
@@ -135,10 +131,6 @@ class SpaceAllocation:
         return np.repeat(np.asarray(flags, dtype=bool), self.dims)
 
 
-def _atom(lo: int, hi: int, den: int) -> DirectionSet:
-    return DirectionSet._from_scaled([(lo, hi)], den)
-
-
 @dataclass(frozen=True)
 class BasisAllocation:
     t1: SpaceAllocation
@@ -147,26 +139,31 @@ class BasisAllocation:
     r2: SpaceAllocation
 
 
-def _space_families(g: ScatteringGeometry):
+def _scaled_spaces(g: ScatteringGeometry):
+    """Per signal space t1, t2, r1, r2: its label, its array half-length
+    and the ``scaled_atoms`` of the supports it unites."""
     L = g.lengths
-    return (
-        ("t1", L.l_t1, [g.t11]),
-        ("t2", L.l_t2, [g.t22, g.t12]),
-        ("r1", L.l_r1, [g.r11, g.r12]),
-        ("r2", L.l_r2, [g.r22]),
-    )
+    return [
+        ("t1", L.l_t1, *scaled_atoms([g.t11])),
+        ("t2", L.l_t2, *scaled_atoms([g.t22, g.t12])),
+        ("r1", L.l_r1, *scaled_atoms([g.r11, g.r12])),
+        ("r2", L.l_r2, *scaled_atoms([g.r22])),
+    ]
 
 
-def integer_scale(g: ScatteringGeometry) -> int:
-    """Least positive integer length multiplier making all atom dims integral."""
+def _scale(spaces) -> int:
     scale = 1
-    for _, length, family in _space_families(g):
-        den, bounds, _ = scaled_atoms(family)
+    for _, length, den, bounds, _ in spaces:
         unit = length.denominator * den
         twice = 2 * length.numerator
         for lo, hi in bounds:
             scale = math.lcm(scale, unit // math.gcd(twice * (hi - lo), unit))
     return scale
+
+
+def integer_scale(g: ScatteringGeometry) -> int:
+    """Least positive integer length multiplier making all atom dims integral."""
+    return _scale(_scaled_spaces(g))
 
 
 def integer_rescale(g: ScatteringGeometry) -> tuple[ScatteringGeometry, int]:
@@ -188,11 +185,11 @@ def allocate_basis(g: ScatteringGeometry) -> BasisAllocation:
     a dimension is non-integral, together with the smallest integer length
     scale that repairs the whole geometry.
     """
-    spaces = {}
-    for label, length, family in _space_families(g):
+    spaces = _scaled_spaces(g)
+    alloc = {}
+    for label, length, den, bounds, members in spaces:
         # an atom of width (hi - lo) / den carries 2 * length * width
         # basis functions: an integer over unit
-        den, bounds, members = scaled_atoms(family)
         unit = length.denominator * den
         twice = 2 * length.numerator
         dims = []
@@ -202,16 +199,16 @@ def allocate_basis(g: ScatteringGeometry) -> BasisAllocation:
                 total = twice * sum(b - a for a, b in bounds)
                 raise QuantizationError(
                     label,
-                    _atom(lo, hi, den),
+                    DirectionSet._from_scaled([(lo, hi)], den),
                     Fraction(twice * (hi - lo), unit),
                     Fraction(total, unit),
-                    integer_scale(g),
+                    _scale(spaces),
                 )
             dims.append(dim)
-        spaces[label] = SpaceAllocation(
+        alloc[label] = SpaceAllocation(
             label, length, den, tuple(bounds), tuple(dims), tuple(members)
         )
-    return BasisAllocation(**spaces)
+    return BasisAllocation(**alloc)
 
 
 @dataclass(frozen=True)
@@ -221,15 +218,25 @@ class DiscretizedChannel:
     Rows index receive basis functions over the full receive space of the
     corresponding receiver, columns index transmit basis functions over the
     full transmit space; entries outside the operator's scattering support
-    are structurally zero.  Deterministic given (geometry, seed).
+    are structurally zero.  Deterministic given (geometry, seed), and
+    records that geometry; construction refuses matrices whose shapes
+    differ from the allocation's space totals.
     """
 
     s11: np.ndarray
     s12: np.ndarray
     s22: np.ndarray
     allocation: BasisAllocation
+    geometry: ScatteringGeometry
     seed: int
     rank_tol: float = DEFAULT_RANK_TOL
+
+    def __post_init__(self):
+        a = self.allocation
+        shapes = ((a.r1, a.t1), (a.r1, a.t2), (a.r2, a.t2))
+        for mat, (rows, cols) in zip((self.s11, self.s12, self.s22), shapes):
+            if mat.shape != (rows.total, cols.total):
+                raise ValueError("matrix shapes differ from the space totals")
 
 
 def _support_masks(alloc: BasisAllocation):
@@ -253,27 +260,9 @@ def _sample_block(rng, row_mask, col_mask):
     return out
 
 
-def _space_totals(products: LinkProducts) -> tuple[int, ...]:
-    """Basis-function totals of t1, t2, r1 and r2 times ``k``: 2L times the
-    measure of each space's union of supports, which is the allocation
-    total whenever the geometry is integral."""
-    _, a, b, c, d, _, _, _, _, _, _, u, v = products
-    return 2 * a, 2 * (c + v), 2 * (b + u), 2 * d
-
-
-def _checked_products(
-    ch: DiscretizedChannel, g: ScatteringGeometry
-) -> LinkProducts:
-    """``link_products(g)``; raises ValueError unless the three shapes of
-    ``ch`` match the space totals of ``g``."""
-    products = link_products(g)
-    k = products.k
-    t1, t2, r1, r2 = _space_totals(products)
-    shapes = ((r1, t1), (r1, t2), (r2, t2))
-    for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
-        if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):
-            raise ValueError("channel was not sampled from this geometry")
-    return products
+def _check_geometry(ch: DiscretizedChannel, g: ScatteringGeometry) -> None:
+    if ch.geometry != g:
+        raise ValueError("channel was not sampled from this geometry")
 
 
 def check_dimension_budget(g: ScatteringGeometry) -> None:
@@ -283,10 +272,12 @@ def check_dimension_budget(g: ScatteringGeometry) -> None:
     for a non-integral geometry too: an integer rescale only multiplies
     the totals, so such a geometry cannot be brought under the budget.
     """
-    products = link_products(g)
-    for label, total in zip(("t1", "t2", "r1", "r2"), _space_totals(products)):
-        if total > MAX_SPACE_DIM * products.k:
-            raise DimensionBudgetError(label, Fraction(total, products.k))
+    # 2L times the measure of each space's union of supports, times k
+    k, a, b, c, d, _, _, _, _, _, _, u, v = link_products(g)
+    totals = (2 * a, 2 * (c + v), 2 * (b + u), 2 * d)
+    for label, total in zip(("t1", "t2", "r1", "r2"), totals):
+        if total > MAX_SPACE_DIM * k:
+            raise DimensionBudgetError(label, Fraction(total, k))
 
 
 def sample_channel(
@@ -307,7 +298,7 @@ def sample_channel(
         _sample_block(rng, rows, cols)
         for rows, cols in _support_masks(alloc).values()
     )
-    return DiscretizedChannel(s11, s12, s22, alloc, seed, rank_tol)
+    return DiscretizedChannel(s11, s12, s22, alloc, g, seed, rank_tol)
 
 
 def corrupt_support(
@@ -320,7 +311,7 @@ def corrupt_support(
     or row (c > r) is zeroed.  Raises ValueError when ``ch`` was not
     sampled from ``g``.
     """
-    _checked_products(ch, g)
+    _check_geometry(ch, g)
     masks = _support_masks(ch.allocation)
     for name in ("s12", "s11", "s22"):
         mat = getattr(ch, name)
@@ -385,9 +376,10 @@ def verify_operator_dims(
     support widths; the nullity of the self-interference operator and the
     codimension of the uplink operator's range follow from the support
     overlaps.  All comparisons are integer equalities.  Raises ValueError
-    when the channel's shapes do not match the space totals of ``g``.
+    when ``ch`` was not sampled from ``g``.
     """
-    k, a, b, c, d, e, f, p, _, _, _, u, _ = _checked_products(ch, g)
+    _check_geometry(ch, g)
+    k, a, b, c, d, e, f, p, _, _, _, u, _ = link_products(g)
     tol = ch.rank_tol
     rank11 = numerical_rank(ch.s11, tol)
     rank12 = numerical_rank(ch.s12, tol)
@@ -438,10 +430,10 @@ def zero_forcing_corner(
 
     The leakage figure is measured, not read back from the singular
     values: the largest column norm of U1^H s12 P, relative to the
-    spectral norm of s12.  Raises ValueError when the channel's shapes do
-    not match the space totals of ``g``.
+    spectral norm of s12.  Raises ValueError when ``ch`` was not sampled
+    from ``g``.
     """
-    _checked_products(ch, g)
+    _check_geometry(ch, g)
     tol = ch.rank_tol
     u11, sv11, _ = np.linalg.svd(ch.s11, full_matrices=False)
     d1 = _rank(sv11, tol * sv11.max(initial=0.0))

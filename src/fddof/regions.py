@@ -119,11 +119,6 @@ class DofRegion:
         """Exact membership test on the convex hull of the vertices."""
         return _hull_contains(self.vertices, _frac(point[0]), _frac(point[1]))
 
-    def is_subset_of(self, other: "DofRegion") -> bool:
-        return all(
-            _hull_contains(other.vertices, x, y) for x, y in self.vertices
-        )
-
     def area(self) -> Fraction:
         if len(self.vertices) < 3:
             return Fraction(0)

@@ -27,7 +27,6 @@ from fddof import (
 from fddof.oracle import (
     DiscretizedChannel,
     ZeroForcingResult,
-    _space_totals,
     numerical_rank,
 )
 
@@ -265,9 +264,9 @@ def reference_zero_forcing_corner(
     spectral norm of s12.  Raises ValueError when the channel's shapes do
     not match the space totals of ``g``.
     """
-    products = link_products(g)
-    k = products.k
-    t1, t2, r1, r2 = _space_totals(products)
+    k, a, b, c, d, _, _, _, _, _, _, u, v = link_products(g)
+    # 2L times the measure of each space's union of supports, times k
+    t1, t2, r1, r2 = 2 * a, 2 * (c + v), 2 * (b + u), 2 * d
     shapes = ((r1, t1), (r1, t2), (r2, t2))
     for (rows, cols), mat in zip(shapes, (ch.s11, ch.s12, ch.s22)):
         if (rows, cols) != (mat.shape[0] * k, mat.shape[1] * k):

@@ -63,6 +63,16 @@ class TestCanonicalize:
     def test_reconstruction_is_identity(self, d):
         assert DirectionSet(d.intervals) == d
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        d = ds((0, 1))
+        assert d.__eq__(((F(0), F(1)),)) is NotImplemented
+        assert d != ((F(0), F(1)),)
+
+    def test_equal_sets_hash_alike(self):
+        merged = ds((0, F(1, 2)), (F(1, 2), 1))
+        assert hash(merged) == hash(ds((0, 1)))
+        assert {merged, ds((0, 1))} == {ds((0, 1))}
+
 
 class TestFromAngles:
     def test_full_elevation_range(self):
@@ -144,6 +154,10 @@ class TestOperations:
         with pytest.raises(ValueError):
             d.take_from_left(2)
 
+    def test_take_from_left_refuses_a_negative_measure(self):
+        with pytest.raises(ValueError, match="^requested measure is negative$"):
+            ds((0, 1)).take_from_left(F(-1, 4))
+
     @given(direction_sets(grid=GRID), direction_sets(grid=GRID))
     def test_bitmap_union(self, a, b):
         want = [x or y for x, y in zip(bitmap(a), bitmap(b))]
@@ -190,7 +204,7 @@ class TestRefine:
 
     def test_single_set_gives_components(self):
         a = ds((0, F(1, 4)), (F(1, 2), 1))
-        assert refine([a, DirectionSet()]) == list(a.components())
+        assert refine([a, DirectionSet()]) == [ds(iv) for iv in a.intervals]
 
     def test_empty_family(self):
         assert refine([]) == []

@@ -36,7 +36,13 @@ from fddof import (
     zero_forcing_corner,
     zf_case_applies,
 )
-from fddof.oracle import LEAKAGE_TOL, MAX_SPACE_DIM, check_dimension_budget
+from fddof.oracle import (
+    LEAKAGE_TOL,
+    MAX_SPACE_DIM,
+    DimCheck,
+    OperatorDimReport,
+    check_dimension_budget,
+)
 from geom_helpers import (
     EMPTY,
     TOUCHING,
@@ -214,6 +220,17 @@ class TestOperatorDims:
         ch = corrupt_support(sample_channel(g, seed=0), g)
         assert not verify_operator_dims(ch, g).all_ok
 
+    def test_report_text(self):
+        report = OperatorDimReport((
+            DimCheck("rank(s11)", 4, 4),
+            DimCheck("nullity(s12)", 2, 3),
+        ))
+        assert str(report) == (
+            "rank(s11): expected 4, observed 4 [pass]\n"
+            "nullity(s12): expected 2, observed 3 [FAIL]"
+        )
+        assert not report.all_ok
+
 
 def corrupted_rank_change(g):
     """The one matrix ``corrupt_support`` changes, its rank before and
@@ -285,12 +302,26 @@ class TestCorruptSupport:
                 assert abs(after - before) == 1
 
 
-@pytest.mark.parametrize(
-    "consumer", [verify_operator_dims, zero_forcing_corner, corrupt_support]
-)
+CONSUMERS = [verify_operator_dims, zero_forcing_corner, corrupt_support]
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
 def test_channel_from_another_geometry_is_rejected(consumer):
     g = symmetric_overlap(2, F(3, 4))
     ch = sample_channel(g.scaled(2), seed=0)
+    with pytest.raises(ValueError, match="not sampled from this geometry"):
+        consumer(ch, g)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_channel_with_the_same_space_totals_is_rejected(consumer):
+    g = symmetric_overlap(2, F(3, 4))
+    back = ds((F(-1, 4), 0), (F(1, 4), 1))
+    ch = sample_channel(replace(g, t12=back, r12=back), seed=0)
+    # every matrix has the shape g gives; only the geometry tells them apart
+    ours = sample_channel(g, seed=0)
+    for name in ("s11", "s12", "s22"):
+        assert getattr(ch, name).shape == getattr(ours, name).shape
     with pytest.raises(ValueError, match="not sampled from this geometry"):
         consumer(ch, g)
 
@@ -384,9 +415,8 @@ class TestZeroForcing:
             lengths=ArrayHalfLengths(2, 4, 2, 2),
         )
         ch = sample_channel(g, seed=0)
-        bad = replace(ch, **{name: getattr(ch, name).T})
-        with pytest.raises(ValueError, match="not sampled from this geometry"):
-            zero_forcing_corner(bad, g)
+        with pytest.raises(ValueError, match="shapes differ"):
+            replace(ch, **{name: getattr(ch, name).T})
 
     def test_case_conditions_hold_for_the_showcases(self):
         assert zf_case_applies(symmetric_overlap(2, F(3, 4)))
@@ -572,9 +602,12 @@ class TestAllocationInvariants:
         for _ in range(10):
             g = random_integral_geometry(rng, max_dim=64)
             alloc = allocate_basis(g)
-            for space in (alloc.t1, alloc.t2, alloc.r1, alloc.r2):
-                for atom, dim in zip(space.atoms, space.dims):
-                    assert dim == 2 * space.length * atom.measure()
+            for label, (length, family) in space_families(g).items():
+                dims = getattr(alloc, label).dims
+                atoms = refine(family)
+                assert len(dims) == len(atoms)
+                for atom, dim in zip(atoms, dims):
+                    assert dim == 2 * length * atom.measure()
 
     def test_support_pattern_is_exactly_the_mask(self):
         rng = random.Random(810)
@@ -582,16 +615,20 @@ class TestAllocationInvariants:
             g = random_integral_geometry(rng, max_dim=48)
             ch = sample_channel(g, seed=i)
             alloc = ch.allocation
+            families = space_families(g)
+
+            def space_mask(label, support):
+                atoms = refine(families[label][1])
+                return reference_mask(atoms, getattr(alloc, label).dims, support)
+
             cases = (
-                (ch.s11, alloc.r1, g.r11, alloc.t1, g.t11),
-                (ch.s12, alloc.r1, g.r12, alloc.t2, g.t12),
-                (ch.s22, alloc.r2, g.r22, alloc.t2, g.t22),
+                (ch.s11, "r1", g.r11, "t1", g.t11),
+                (ch.s12, "r1", g.r12, "t2", g.t12),
+                (ch.s22, "r2", g.r22, "t2", g.t22),
             )
             for mat, rows, row_set, cols, col_set in cases:
-                mask = np.outer(
-                    reference_mask(rows.atoms, rows.dims, row_set),
-                    reference_mask(cols.atoms, cols.dims, col_set),
-                )
+                mask = np.outer(space_mask(rows, row_set),
+                                space_mask(cols, col_set))
                 assert not mat[~mask].any()
                 # continuous draws are nonzero almost surely
                 assert (mat[mask] != 0).all()
@@ -662,8 +699,9 @@ def assert_allocation_matches_reference(g):
     for label, (atoms, dims) in expected.items():
         space = getattr(alloc, label)
         assert (space.label, space.length) == (label, families[label][0])
-        assert space.atoms == atoms
-        assert fraction_endpoints(space.atoms)
+        assert [
+            ((F(lo, space.den), F(hi, space.den)),) for lo, hi in space.bounds
+        ] == [atom.intervals for atom in atoms]
         assert space.dims == dims
         assert space.total == sum(dims)
         # family member i contains or misses each atom; its mask reads

@@ -43,7 +43,6 @@ from geom_helpers import (
     random_geometry,
     reference_contains,
     reference_genie_expand,
-    reference_is_subset_of,
     reference_link_products,
     reference_region_relate,
     symmetric_overlap,
@@ -267,7 +266,9 @@ class TestRegions:
     @given(geometries())
     @settings(max_examples=200)
     def test_half_duplex_inside_full_duplex(self, g):
-        assert hd_region(g).is_subset_of(fd_region(g))
+        assert region_relate(hd_region(g), fd_region(g)) in {
+            RegionRelation.EQUAL, RegionRelation.A_STRICT_SUBSET_B
+        }
 
     @given(geometries())
     def test_fd_vertices_satisfy_caps(self, g):
@@ -319,10 +320,9 @@ def cap_regions(draw):
 
 
 def assert_comparison_matches_reference(a, b):
-    """region_relate both ways, is_subset_of and contains as the reference."""
+    """region_relate both ways and contains as the reference."""
     for x, y in ((a, b), (b, a)):
         assert region_relate(x, y) is reference_region_relate(x, y)
-        assert x.is_subset_of(y) is reference_is_subset_of(x, y)
         points = list(y.vertices) + [
             (x.d1_cap, x.d2_cap), (y.d1_cap / 2, y.d2_cap / 3), (-1, 0), (0, 0)
         ]

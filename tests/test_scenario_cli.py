@@ -4,6 +4,10 @@ import csv
 import itertools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -24,7 +28,7 @@ from fddof import (
 )
 from fddof import cli
 from fddof.cli import build_parser, main
-from fddof.scenario import MAX_SEEDS
+from fddof.scenario import MAX_SEEDS, SchemaError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SYMMETRIC = str(SCENARIOS / "symmetric_overlap_075.json")
@@ -191,6 +195,41 @@ class TestExitCodes:
         mutate(data)
         assert main(["region", write_json(tmp_path, data)]) == 3
         assert capsys.readouterr().err == f"error: schema: {message}\n"
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda d: d["lengths"].update(l_t1=True),
+             "lengths.l_t1: expected a rational, got a boolean"),
+            (lambda d: d.update(name=5), "name: expected a string"),
+            (lambda d: d.update(oracle={"rank_tol": "1e-9"}),
+             "oracle.rank_tol: expected a positive number"),
+        ],
+        ids=["boolean-rational", "name-not-string", "rank-tol-not-number"],
+    )
+    def test_refused_value_is_3_with_its_message(self, tmp_path, mutate,
+                                                 message, capsys):
+        data = base_scenario_dict()
+        mutate(data)
+        assert main(["region", write_json(tmp_path, data)]) == 3
+        assert capsys.readouterr().err == f"error: schema: {message}\n"
+
+    def test_rank_tol_too_large_for_a_float_is_refused(self):
+        data = base_scenario_dict()
+        data["oracle"] = {"rank_tol": F(10) ** 400}
+        with pytest.raises(SchemaError) as info:
+            parse_scenario(data)
+        assert str(info.value) == "oracle.rank_tol: too large"
+
+    def test_angle_pair_outside_the_range_is_4_with_its_path(self, tmp_path,
+                                                             capsys):
+        data = base_scenario_dict()
+        data["intervals"]["r22"] = {"angles_deg": [[0, 200]]}
+        assert main(["region", write_json(tmp_path, data)]) == 4
+        assert capsys.readouterr().err == (
+            "error: invariant: intervals.r22: angle pair [0, 200] leaves "
+            "[0, 180] degrees\n"
+        )
 
     def test_invalid_json_is_3(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -534,6 +573,14 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "area gain FD/HD: n/a (degenerate HD region)\n" in out
 
+    def test_svg_is_written_and_reported(self, tmp_path, capsys):
+        path = tmp_path / "compare.svg"
+        assert main(["compare", SYMMETRIC, "--svg", str(path)]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote SVG: {path}\n")
+        svg = path.read_text(encoding="utf-8")
+        assert svg.count("<polygon") == 2
+        assert ">half-duplex</text>" in svg and ">full-duplex</text>" in svg
+
     def test_fully_spread_equal_arrays(self, tmp_path, capsys):
         data = {
             "name": "fs-equal",
@@ -626,12 +673,52 @@ class TestVerifyCommand:
         assert "outside the construction's case conditions" in out
 
 
+# -- console entry point ------------------------------------------------------------
+
+def test_module_entry_point_runs_main(capsys):
+    """``python -m fddof.cli`` goes through ``cli.run``, the function the
+    ``fddof`` console script calls."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fddof.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    done = run("region", EMPTY_BACK)
+    assert main(["region", EMPTY_BACK]) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, capsys.readouterr().out, ""
+    )
+    missing = run("region", "/nonexistent/scenario.json")
+    assert (missing.returncode, missing.stderr) == (
+        2, "error: file not found: /nonexistent/scenario.json\n"
+    )
+
+
 # -- helpers ------------------------------------------------------------------------
 
 def test_region_from_caps_matches_cli_reassembly():
     region = region_from_caps(4, 4, 8)
     assert region.vertices == ((0, 0), (4, 0), (4, 4), (0, 4))
     assert fd_caps(make_fully_spread(2, 1)) == (4, 4, 8)
+
+
+@pytest.mark.parametrize(
+    "cap,ticks", [(11, list(range(1, 12))), (20, list(range(2, 21, 2)))]
+)
+def test_svg_tick_step_doubles_past_a_span_of_12(cap, ticks):
+    from fddof.svgplot import render_regions
+
+    # the span is 1.08 times the largest cap: 11.88, then 21.6
+    text = render_regions([("r", region_from_caps(cap, cap, 2 * cap))])
+    labels = re.findall(r'font-size="11" text-anchor="\w+">(\d+)</text>', text)
+    assert labels == [str(t) for t in ticks for _ in range(2)]
 
 
 def test_svg_renders_degenerate_regions_as_polylines():
