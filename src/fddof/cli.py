@@ -40,11 +40,11 @@ from .oracle import (
 from .regions import (
     RegionRelation,
     cap_corners,
+    caps_are_rectangular,
     corner_points,
     fd_caps,
-    fd_region,
     hd_region,
-    is_rectangular,
+    hd_region_from_caps,
     make_symmetric,
     region_from_caps,
     region_relate,
@@ -111,7 +111,7 @@ def cmd_region(args) -> int:
         f"corner p'' = ({corners.p_double_prime[0]}, "
         f"{corners.p_double_prime[1]})"
     )
-    print(f"rectangular: {'yes' if is_rectangular(g) else 'no'}")
+    print(f"rectangular: {'yes' if caps_are_rectangular(caps) else 'no'}")
     verts = " ".join(f"({x}, {y})" for x, y in region.vertices)
     print(f"vertices (ccw): {verts}")
 
@@ -127,8 +127,9 @@ def cmd_region(args) -> int:
 def cmd_compare(args) -> int:
     scn = load_scenario(args.scenario)
     g = scn.geometry
-    fd = fd_region(g)
-    hd = hd_region(g)
+    caps = fd_caps(g)
+    fd = region_from_caps(*caps)
+    hd = hd_region_from_caps(*caps[:2])
     relation = region_relate(hd, fd)
 
     print(f"scenario: {scn.name}")
@@ -206,7 +207,7 @@ def cmd_sweep(args) -> int:
     for overlap in grid:
         g = make_symmetric(length, fwd, _with_overlap(fwd, back, overlap))
         d1_max, d2_max, dsum_max = caps = fd_caps(g)
-        rect = is_rectangular(g)
+        rect = caps_are_rectangular(caps)
         rows.append((overlap, *caps, rect))
         entries.append((f"FD overlap={overlap}", region_from_caps(*caps)))
         print(

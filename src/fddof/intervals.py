@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-import mpmath
-
 Rational = Union[Fraction, int, str, float]
 
 LOWER = Fraction(-1)
@@ -55,6 +53,9 @@ def cos_degrees(angle: Rational, digits: int = 12) -> Fraction:
     exact = _EXACT_COS.get(theta)
     if exact is not None:
         return exact
+    # imported here, so scenarios on the exact grid never load mpmath
+    import mpmath
+
     with mpmath.workdps(digits + 25):
         value = mpmath.cos(
             mpmath.mpf(theta.numerator) / theta.denominator * mpmath.pi / 180

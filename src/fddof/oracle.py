@@ -21,8 +21,9 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
+# numpy is imported inside the functions that touch a matrix, so importing
+# this module (and the package, and the CLI) leaves it unloaded until the
+# first oracle call
 from .intervals import DirectionSet, scaled_atoms
 from .regions import ScatteringGeometry, link_products
 
@@ -80,6 +81,8 @@ def _rank(svals: np.ndarray, threshold: float) -> int:
     advisable.  Only the smallest kept and the largest dropped value can
     lie that close if any does.
     """
+    import numpy as np
+
     rank = int(np.count_nonzero(svals > threshold))
     if (rank and svals[rank - 1] < threshold * 10) or (
         rank < svals.size and svals[rank] > threshold / 10
@@ -98,6 +101,8 @@ def _rank(svals: np.ndarray, threshold: float) -> int:
 def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above rank_tol relative to the largest,
     warning as ``_rank`` does."""
+    import numpy as np
+
     if matrix.size == 0:
         return 0
     svals = np.linalg.svd(matrix, compute_uv=False)
@@ -127,6 +132,8 @@ class SpaceAllocation:
     def mask(self, member: int) -> np.ndarray:
         """Boolean per basis function: True when family member ``member``
         covers its atom."""
+        import numpy as np
+
         flags = [bool(m >> member & 1) for m in self.members]
         return np.repeat(np.asarray(flags, dtype=bool), self.dims)
 
@@ -250,6 +257,8 @@ def _support_masks(alloc: BasisAllocation):
 
 
 def _sample_block(rng, row_mask, col_mask):
+    import numpy as np
+
     out = np.zeros((row_mask.size, col_mask.size), dtype=np.complex128)
     rows = np.flatnonzero(row_mask)
     cols = np.flatnonzero(col_mask)
@@ -293,6 +302,8 @@ def sample_channel(
     for space in (alloc.t1, alloc.t2, alloc.r1, alloc.r2):
         if space.total > MAX_SPACE_DIM:
             raise DimensionBudgetError(space.label, space.total)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     s11, s12, s22 = (
         _sample_block(rng, rows, cols)
@@ -311,6 +322,8 @@ def corrupt_support(
     or row (c > r) is zeroed.  Raises ValueError when ``ch`` was not
     sampled from ``g``.
     """
+    import numpy as np
+
     _check_geometry(ch, g)
     masks = _support_masks(ch.allocation)
     for name in ("s12", "s11", "s22"):
@@ -433,6 +446,8 @@ def zero_forcing_corner(
     spectral norm of s12.  Raises ValueError when ``ch`` was not sampled
     from ``g``.
     """
+    import numpy as np
+
     _check_geometry(ch, g)
     tol = ch.rank_tol
     u11, sv11, _ = np.linalg.svd(ch.s11, full_matrices=False)

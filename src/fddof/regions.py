@@ -367,13 +367,19 @@ def fd_region(g: ScatteringGeometry) -> DofRegion:
 
 
 def hd_region(g: ScatteringGeometry) -> DofRegion:
+    """Half-duplex region: the time-sharing triangle of fd_caps."""
+    d1c, d2c, _ = fd_caps(g)
+    return hd_region_from_caps(d1c, d2c)
+
+
+def hd_region_from_caps(d1_cap: Rational, d2_cap: Rational) -> DofRegion:
     """Half-duplex region: time sharing between the two flows.
 
     Sweeping the time-share parameter traces rectangles whose hull is the
     triangle on the two per-flow caps; there is no self-interference, so
     only the point-to-point caps matter.
     """
-    d1c, d2c, _ = fd_caps(g)
+    d1c, d2c = _frac(d1_cap), _frac(d2_cap)
     zero = Fraction(0)
     verts: list[tuple[Fraction, Fraction]] = [(zero, zero)]
     if d1c > 0:
@@ -403,7 +409,13 @@ def region_relate(a: DofRegion, b: DofRegion) -> RegionRelation:
 
 def is_rectangular(g: ScatteringGeometry) -> bool:
     """True when the sum cap is inactive and the region is a rectangle."""
-    d1_max, d2_max, dsum_max = fd_caps(g)
+    return caps_are_rectangular(fd_caps(g))
+
+
+def caps_are_rectangular(caps: tuple[Fraction, Fraction, Fraction]) -> bool:
+    """True when the sum cap of ``caps`` is inactive: the cap polygon is
+    the rectangle on the two per-flow caps."""
+    d1_max, d2_max, dsum_max = caps
     return dsum_max >= d1_max + d2_max
 
 

@@ -106,6 +106,12 @@ class TestFromAngles:
         assert abs(float(approx) - math.cos(math.radians(45))) < 1e-12
         assert approx.denominator <= 10**12
 
+    def test_off_grid_cosines_are_pinned(self):
+        # mpmath is imported on the first off-grid call; the rounding of
+        # every off-grid angle must stay exactly as it is
+        assert cos_degrees(45) == F(707106781187, 10**12)
+        assert cos_degrees("22.5") == F(923879532511, 10**12)
+
     def test_generic_angles_round_trip_through_sets(self):
         d = DirectionSet.from_angles([(30, 45)])
         (lo, hi), = d.intervals
