@@ -28,7 +28,6 @@ from .oracle import (
     allocate_basis,
     corrupt_support,
     integer_rescale,
-    integer_scale,
     numerical_rank,
     sample_channel,
     verify_operator_dims,
@@ -64,8 +63,6 @@ from .scenario import (
     SchemaError,
     load_scenario,
     parse_scenario,
-    save_scenario,
-    scenario_to_jsonable,
 )
 
 __version__ = "0.1.0"
@@ -105,7 +102,6 @@ __all__ = [
     "hd_region",
     "hd_region_from_caps",
     "integer_rescale",
-    "integer_scale",
     "is_rectangular",
     "link_products",
     "load_scenario",
@@ -117,8 +113,6 @@ __all__ = [
     "region_from_caps",
     "region_relate",
     "sample_channel",
-    "save_scenario",
-    "scenario_to_jsonable",
     "verify_operator_dims",
     "zero_forcing_corner",
     "zf_case_applies",

@@ -258,11 +258,8 @@ def cmd_verify(args) -> int:
         f"p''=({corners.p_double_prime[0]}, {corners.p_double_prime[1]})"
     )
 
-    target_prime, target_double = cap_corners((d1_max, d2_max, dsum_max))
-    identity_ok = (
-        corners.p_prime == target_prime
-        and corners.p_double_prime == target_double
-    )
+    target = cap_corners((d1_max, d2_max, dsum_max))
+    identity_ok = corners == target
     print(
         "corner/cap identity (exact rational): "
         + ("pass" if identity_ok else "FAIL")
@@ -288,11 +285,11 @@ def cmd_verify(args) -> int:
         zf = zero_forcing_corner(ch, g)
         rank_tuples.add(tuple(c.observed for c in report.checks))
 
-        zf_ok = zf.d1 == target_prime[0] and zf.max_leakage <= LEAKAGE_TOL
+        zf_ok = zf.d1 == target.p_prime[0] and zf.max_leakage <= LEAKAGE_TOL
         if applies:
-            zf_ok = zf_ok and zf.d2 == target_prime[1]
+            zf_ok = zf_ok and zf.d2 == target.p_prime[1]
         else:
-            zf_ok = zf_ok and zf.d2 <= target_prime[1]
+            zf_ok = zf_ok and zf.d2 <= target.p_prime[1]
         row_ok = report.all_ok and zf_ok
         all_ok = all_ok and row_ok
 

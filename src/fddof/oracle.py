@@ -168,18 +168,14 @@ def _scale(spaces) -> int:
     return scale
 
 
-def integer_scale(g: ScatteringGeometry) -> int:
-    """Least positive integer length multiplier making all atom dims integral."""
-    return _scale(_scaled_spaces(g))
-
-
 def integer_rescale(g: ScatteringGeometry) -> tuple[ScatteringGeometry, int]:
     """Scale all four array lengths so every atom dimension is an integer.
 
     Dimension caps scale linearly with array length, so results on the
-    scaled geometry translate back by dividing by the returned factor.
+    scaled geometry translate back by dividing by the returned factor, the
+    least positive multiplier that makes every atom dimension integral.
     """
-    scale = integer_scale(g)
+    scale = _scale(_scaled_spaces(g))
     return (g if scale == 1 else g.scaled(scale)), scale
 
 
@@ -235,7 +231,6 @@ class DiscretizedChannel:
     s22: np.ndarray
     allocation: BasisAllocation
     geometry: ScatteringGeometry
-    seed: int
     rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
@@ -309,7 +304,7 @@ def sample_channel(
         _sample_block(rng, rows, cols)
         for rows, cols in _support_masks(alloc).values()
     )
-    return DiscretizedChannel(s11, s12, s22, alloc, g, seed, rank_tol)
+    return DiscretizedChannel(s11, s12, s22, alloc, g, rank_tol)
 
 
 def corrupt_support(
@@ -352,13 +347,6 @@ class DimCheck:
     def ok(self) -> bool:
         return self.expected == self.observed
 
-    def __str__(self) -> str:
-        verdict = "pass" if self.ok else "FAIL"
-        return (
-            f"{self.name}: expected {self.expected}, "
-            f"observed {self.observed} [{verdict}]"
-        )
-
 
 @dataclass(frozen=True)
 class OperatorDimReport:
@@ -367,9 +355,6 @@ class OperatorDimReport:
     @property
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def __str__(self) -> str:
-        return "\n".join(str(c) for c in self.checks)
 
 
 def _as_int(x: int, k: int) -> int:
@@ -422,10 +407,6 @@ class ZeroForcingResult:
     d2: int
     p12_dim: int
     max_leakage: float
-
-    @property
-    def corner(self) -> tuple[int, int]:
-        return (self.d1, self.d2)
 
 
 def zero_forcing_corner(

@@ -283,9 +283,7 @@ def fd_caps(g: ScatteringGeometry) -> tuple[Fraction, Fraction, Fraction]:
     )
 
 
-def cap_corners(
-    caps: tuple[Fraction, Fraction, Fraction]
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+def cap_corners(caps: tuple[Fraction, Fraction, Fraction]) -> CornerPoints:
     """Corner pair (p', p'') derived from the caps alone.
 
     Each corner gives one flow its cap and the other flow what the sum cap
@@ -295,7 +293,7 @@ def cap_corners(
     """
     d1_max, d2_max, dsum_max = caps
     zero = Fraction(0)
-    return (
+    return CornerPoints(
         (d1_max, min(max(dsum_max - d1_max, zero), d2_max)),
         (min(max(dsum_max - d2_max, zero), d1_max), d2_max),
     )

@@ -2,7 +2,7 @@
 
 Rationals are written as "p/q" strings (plain integers are accepted too);
 JSON number literals are parsed as exact decimal fractions, never as binary
-floats, so a round trip through a file preserves every endpoint exactly.
+floats, so every endpoint is read exactly as written.
 Every rational literal must fit a fixed digit budget, checked on its text
 before anything is expanded, and the common denominator of a geometry must
 fit a bit budget, so that every exact value the CLI prints can be printed.
@@ -243,27 +243,3 @@ def load_scenario(path: str | Path) -> Scenario:
         except (ValueError, ArithmeticError, RecursionError) as err:
             raise SchemaError("$", f"not UTF-8 JSON: {err}") from None
     return parse_scenario(data, default_name=path.stem)
-
-
-def scenario_to_jsonable(scenario: Scenario) -> dict:
-    g = scenario.geometry
-    return {
-        "name": scenario.name,
-        "lengths": {
-            key: str(getattr(g.lengths, key)) for key in _LENGTH_KEYS
-        },
-        "intervals": {
-            key: [[str(lo), str(hi)] for lo, hi in getattr(g, key).intervals]
-            for key in _INTERVAL_KEYS
-        },
-        "oracle": {
-            "seeds": scenario.oracle.seeds,
-            "rank_tol": scenario.oracle.rank_tol,
-        },
-    }
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scenario_to_jsonable(scenario), handle, indent=2)
-        handle.write("\n")

@@ -3,6 +3,7 @@ reference implementations shared across the test suite."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,8 @@ from fddof import (
     RegionRelation,
     ScatteringGeometry,
     allocate_basis,
+    caps_are_rectangular,
+    fd_caps,
     integer_rescale,
     link_products,
     make_symmetric,
@@ -205,7 +208,7 @@ def space_families(g: ScatteringGeometry) -> dict:
 
 
 def reference_integer_scale(g: ScatteringGeometry) -> int:
-    """``integer_scale`` from Fraction atom measures."""
+    """``integer_rescale``'s factor from Fraction atom measures."""
     scale = 1
     for length, family in space_families(g).values():
         for atom in reference_refine(family):
@@ -372,18 +375,31 @@ def random_integral_case_geometry(
     raise RuntimeError("generator failed to satisfy the case conditions")
 
 
-_oracle_geometries = None
-
-
+@functools.cache
 def oracle_geometry_set():
     """Shared set of >=100 integral case geometries for the oracle criteria."""
-    global _oracle_geometries
-    if _oracle_geometries is None:
-        rng = random.Random(0xFDD0F)
-        _oracle_geometries = [
-            random_integral_case_geometry(rng, max_dim=64) for _ in range(100)
-        ]
-    return _oracle_geometries
+    rng = random.Random(0xFDD0F)
+    return [random_integral_case_geometry(rng, max_dim=64) for _ in range(100)]
+
+
+@functools.cache
+def binding_geometry_set():
+    """Shared set of 200 integral geometries whose sum cap binds
+    (dsum < d1 + d2), inside and outside the zero-forcing case conditions."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < 200:
+        g, _ = integer_rescale(_case_candidate(rng))
+        if not caps_are_rectangular(fd_caps(g)) and 0 < max_space_dim(g) <= 64:
+            out.append(g)
+    return out
+
+
+@functools.cache
+def criterion_2_geometries():
+    """The 10^4 geometries of acceptance criterion 2."""
+    rng = random.Random(20260810)
+    return [random_geometry(rng, max_fragments=3, den=64) for _ in range(10_000)]
 
 
 def random_integral_geometry(
@@ -426,40 +442,42 @@ def direction_sets(draw, max_fragments=3, grid=GRID):
 lengths_st = st.integers(0, 4 * GRID).map(lambda n: Fraction(n, GRID))
 
 
+_angles = st.fractions(0, 180, max_denominator=7)
+_angle_pairs = st.lists(st.tuples(_angles, _angles), max_size=3)
+
+
 @st.composite
 def angle_sets(draw):
     """Angle-domain supports: non-grid 12-digit cosine endpoints."""
-    angles = st.fractions(0, 180, max_denominator=7)
-    pairs = draw(st.lists(st.tuples(angles, angles), max_size=3))
+    pairs = draw(_angle_pairs)
     return DirectionSet.from_angles([sorted(pair) for pair in pairs])
+
+
+_fine_points = st.lists(
+    st.fractions(-1, 1, max_denominator=1000), max_size=6, unique=True
+)
 
 
 @st.composite
 def fine_sets(draw):
     """Endpoints with unrelated denominators."""
-    points = draw(
-        st.lists(
-            st.fractions(-1, 1, max_denominator=1000),
-            max_size=6,
-            unique=True,
-        )
-    )
-    points.sort()
+    points = sorted(draw(_fine_points))
     return DirectionSet(zip(points[::2], points[1::2]))
+
+
+_mixed_sets = st.one_of(direction_sets(), angle_sets(), fine_sets())
+_mixed_lengths = st.one_of(
+    lengths_st, st.just(Fraction(0)), st.fractions(0, 8, max_denominator=99)
+)
 
 
 @st.composite
 def mixed_geometries(draw):
     """Grid, angle-domain and fine supports; grid, zero and non-integral
     lengths (with denominators up to 99)."""
-    sets = st.one_of(direction_sets(), angle_sets(), fine_sets())
-    lens = st.one_of(
-        lengths_st, st.just(Fraction(0)),
-        st.fractions(0, 8, max_denominator=99),
-    )
     return ScatteringGeometry(
-        *(draw(sets) for _ in range(6)),
-        lengths=ArrayHalfLengths(*(draw(lens) for _ in range(4))),
+        *(draw(_mixed_sets) for _ in range(6)),
+        lengths=ArrayHalfLengths(*(draw(_mixed_lengths) for _ in range(4))),
     )
 
 

@@ -27,6 +27,7 @@ from fddof import (
     zero_forcing_corner,
 )
 from geom_helpers import (
+    criterion_2_geometries,
     oracle_geometry_set,
     random_geometry,
     random_symmetric_inputs,
@@ -80,14 +81,10 @@ def test_criterion_1_overlap_family_regions():
 
 
 def test_criterion_2_corners_equal_cap_intersections():
-    rng = random.Random(20260810)
+    geometries = criterion_2_geometries()
     with criterion(2, "corner/cap identity, 10^4 geometries", 30.0):
-        for i in range(10_000):
-            g = random_geometry(rng, max_fragments=3, den=64)
-            cp = corner_points(g)
-            want_prime, want_double = cap_corners(fd_caps(g))
-            assert cp.p_prime == want_prime, (i, g)
-            assert cp.p_double_prime == want_double, (i, g)
+        for i, g in enumerate(geometries):
+            assert corner_points(g) == cap_corners(fd_caps(g)), (i, g)
 
 
 def test_criterion_3_operator_dimension_identities():
@@ -104,11 +101,11 @@ def test_criterion_4_zero_forcing_corner():
     geometries = oracle_geometry_set()
     with criterion(4, "zero-forcing corner + leakage", 120.0):
         for gi, g in enumerate(geometries):
-            target, _ = cap_corners(fd_caps(g))
-            want = (int(target[0]), int(target[1]))
+            want = cap_corners(fd_caps(g)).p_prime
             for seed in range(SEEDS_PER_GEOMETRY):
                 result = zero_forcing_corner(sample_channel(g, seed), g)
-                assert result.corner == want, (gi, seed, result.corner, want)
+                got = (result.d1, result.d2)
+                assert got == want, (gi, seed, got, want)
                 assert result.max_leakage < LEAK_LIMIT, (gi, seed, result)
 
 

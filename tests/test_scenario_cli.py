@@ -24,7 +24,6 @@ from fddof import (
     parse_scenario,
     region_from_caps,
     sample_channel,
-    save_scenario,
 )
 from fddof import cli
 from fddof.cli import build_parser, main
@@ -95,15 +94,6 @@ class TestScenarioFiles:
         assert scn.name == "symmetric-overlap-075"
         assert fd_caps(scn.geometry) == (2, 2, 3)
         assert scn.oracle.seeds == 20
-
-    def test_round_trip_preserves_geometry(self, tmp_path):
-        scn = load_scenario(SYMMETRIC)
-        path = tmp_path / "copy.json"
-        save_scenario(scn, path)
-        again = load_scenario(path)
-        assert again.geometry == scn.geometry
-        assert again.name == scn.name
-        assert again.oracle == scn.oracle
 
     def test_decimal_numbers_parse_exactly(self, tmp_path):
         data = base_scenario_dict()
