@@ -11,7 +11,9 @@ transmit scattering intervals, with free entries drawn from a standard
 complex normal so that every fully-supported submatrix has maximal rank
 with probability one.  The zero-forcing corner gives flow 2 the transmit
 subspace ker(U1^H s12), U1 an orthonormal basis of range(s11), with its
-rank threshold relative to the spectral norm of s12.
+rank threshold relative to the spectral norm of s12.  A channel factors s11
+and s12 once, on first use, and both checks read those factors; its
+matrices are read-only, so the factors cannot go stale.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 # numpy is imported inside the functions that touch a matrix, so importing
@@ -33,8 +36,9 @@ DEFAULT_RANK_TOL = 1e-9
 LEAKAGE_TOL = 1e-8
 
 # Largest signal space the oracle will sample, in basis functions.  Each of
-# the three channel matrices is at most this square in complex128, so they
-# take at most 3 * 2048**2 * 16 B = 192 MiB together.
+# the three channel matrices, and the cached left singular vectors of s11,
+# is at most this square in complex128, so a live channel holds at most
+# 4 * 2048**2 * 16 B = 256 MiB.
 MAX_SPACE_DIM = 2048
 
 
@@ -72,8 +76,9 @@ class RankToleranceWarning(UserWarning):
     """A singular value sits near the rank threshold; rank is unreliable."""
 
 
-def _rank(svals: np.ndarray, threshold: float) -> int:
-    """Count the singular values, sorted descending, above ``threshold``.
+def _rank(svals: np.ndarray, rank_tol: float, scale: float | None = None) -> int:
+    """Count the singular values, sorted descending, above ``rank_tol``
+    times ``scale``, by default the largest of them.
 
     Warns when any of them lies within a decade of the threshold: the
     spectral gap should be many orders of magnitude wide here, so a
@@ -83,6 +88,9 @@ def _rank(svals: np.ndarray, threshold: float) -> int:
     """
     import numpy as np
 
+    if svals.size == 0:
+        return 0
+    threshold = rank_tol * (svals[0] if scale is None else scale)
     rank = int(np.count_nonzero(svals > threshold))
     if (rank and svals[rank - 1] < threshold * 10) or (
         rank < svals.size and svals[rank] > threshold / 10
@@ -98,15 +106,20 @@ def _rank(svals: np.ndarray, threshold: float) -> int:
     return rank
 
 
-def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values above rank_tol relative to the largest,
-    warning as ``_rank`` does."""
+def _svals(matrix: np.ndarray) -> np.ndarray:
+    """Singular values of ``matrix``, descending; none, and no LAPACK call,
+    for an empty one."""
     import numpy as np
 
     if matrix.size == 0:
-        return 0
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return _rank(svals, rank_tol * float(svals[0]))
+        return np.zeros(0)
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Count singular values above rank_tol relative to the largest,
+    warning as ``_rank`` does."""
+    return _rank(_svals(matrix), rank_tol)
 
 
 @dataclass(frozen=True)
@@ -223,7 +236,8 @@ class DiscretizedChannel:
     full transmit space; entries outside the operator's scattering support
     are structurally zero.  Deterministic given (geometry, seed), and
     records that geometry; construction refuses matrices whose shapes
-    differ from the allocation's space totals.
+    differ from the allocation's space totals, and marks the matrices
+    read-only so that the factors cached on first use stay theirs.
     """
 
     s11: np.ndarray
@@ -239,6 +253,21 @@ class DiscretizedChannel:
         for mat, (rows, cols) in zip((self.s11, self.s12, self.s22), shapes):
             if mat.shape != (rows.total, cols.total):
                 raise ValueError("matrix shapes differ from the space totals")
+        for mat in (self.s11, self.s12, self.s22):
+            mat.flags.writeable = False
+
+    @cached_property
+    def _svd11(self) -> tuple[np.ndarray, np.ndarray]:
+        """U and the singular values of the thin SVD of s11."""
+        import numpy as np
+
+        u, sv, _ = np.linalg.svd(self.s11, full_matrices=False)
+        return u, sv
+
+    @cached_property
+    def _sv12(self) -> np.ndarray:
+        """The singular values of s12."""
+        return _svals(self.s12)
 
 
 def _support_masks(alloc: BasisAllocation):
@@ -379,9 +408,9 @@ def verify_operator_dims(
     _check_geometry(ch, g)
     k, a, b, c, d, e, f, p, _, _, _, u, _ = link_products(g)
     tol = ch.rank_tol
-    rank11 = numerical_rank(ch.s11, tol)
-    rank12 = numerical_rank(ch.s12, tol)
-    rank22 = numerical_rank(ch.s22, tol)
+    rank11 = _rank(ch._svd11[1], tol)
+    rank12 = _rank(ch._sv12, tol)
+    rank22 = _rank(_svals(ch.s22), tol)
 
     exp_rank11 = _as_int(2 * min(a, b), k)
     exp_rank12 = _as_int(2 * min(e, f), k)
@@ -431,15 +460,15 @@ def zero_forcing_corner(
 
     _check_geometry(ch, g)
     tol = ch.rank_tol
-    u11, sv11, _ = np.linalg.svd(ch.s11, full_matrices=False)
-    d1 = _rank(sv11, tol * sv11.max(initial=0.0))
+    u11, sv11 = ch._svd11
+    d1 = _rank(sv11, tol)
     # the interference flow 2 deposits on flow 1's receive space
     m = u11[:, :d1].conj().T @ ch.s12
     # relative to s12 itself: m may hold nothing but round-off
-    norm12 = np.linalg.svd(ch.s12, compute_uv=False).max(initial=0.0)
+    norm12 = ch._sv12.max(initial=0.0)
     _, svm, vmh = np.linalg.svd(m)
-    p12 = vmh[_rank(svm, tol * norm12):, :].conj().T
-    d2 = numerical_rank(ch.s22 @ p12, tol)
+    p12 = vmh[_rank(svm, tol, norm12):, :].conj().T
+    d2 = _rank(_svals(ch.s22 @ p12), tol)
 
     leak = np.linalg.norm(m @ p12, axis=0).max(initial=0.0)
     # p12 columns are orthonormal, so per-column norms are already

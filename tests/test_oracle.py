@@ -219,6 +219,33 @@ class TestOperatorDims:
         assert not verify_operator_dims(ch, g).all_ok
 
 
+class TestChannelFactors:
+    def test_matrices_are_read_only(self):
+        ch = sample_channel(symmetric_overlap(2, F(3, 4)), seed=0)
+        for name in ("s11", "s12", "s22"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ch, name)[0, 0] = 1
+
+    def test_a_derived_channel_reads_its_own_matrices(self):
+        """Factors read on the original first do not leak into a channel
+        built from it by ``replace`` or ``corrupt_support``."""
+        g = symmetric_overlap(2, F(3, 4))
+        ch = sample_channel(g, seed=0)
+        assert verify_operator_dims(ch, g).all_ok
+        assert zero_forcing_corner(ch, g).d1 == 4
+        # s11 is 5 x 4 of rank 4: drop its smallest singular value
+        u, sv, vh = np.linalg.svd(ch.s11, full_matrices=False)
+        sv[-1] = 0.0
+        low = replace(ch, s11=(u * sv) @ vh)
+        by_name = {c.name: c.observed for c in verify_operator_dims(low, g).checks}
+        assert by_name["rank(s11)"] == 3
+        assert zero_forcing_corner(low, g).d1 == 3
+        # corrupt_support zeroes one supported column of s12 (rank 4 -> 3)
+        bad = corrupt_support(ch, g)
+        by_name = {c.name: c.observed for c in verify_operator_dims(bad, g).checks}
+        assert (by_name["rank(s11)"], by_name["rank(s12)"]) == (4, 3)
+
+
 def corrupted_rank_change(g):
     """The one matrix ``corrupt_support`` changes, its rank before and
     after, and the corrupted matrix; the corrupted channel must fail
@@ -440,6 +467,27 @@ class TestZeroForcing:
         result = zero_forcing_corner(sample_channel(g, seed=4), g)
         assert (result.d1, result.d2) == cp.p_prime
 
+    def test_each_channel_matrix_is_factored_once(self, monkeypatch):
+        g = symmetric_overlap(2, F(3, 4))
+        ch = sample_channel(g, seed=0)
+        assert all(getattr(ch, name).size for name in ("s11", "s12", "s22"))
+        original = np.linalg.svd
+        count = 0
+
+        def counted(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        # s11 (thin, shared), s12 (values, shared), s22, m and s22 P
+        verify_operator_dims(ch, g)
+        zero_forcing_corner(ch, g)
+        assert count == 5
+        # the shared factors are cached on the channel: m and s22 P
+        zero_forcing_corner(ch, g)
+        assert count == 7
+
 
 # the checked-in scenarios scaled so their largest space has 64-80 basis
 # functions, as in the benchmark's large oracle workload
@@ -475,6 +523,16 @@ def test_nullspace_matches_the_preimage_construction():
         geometries += [integer_rescale(raw)[0], raw.scaled(scale)]
     for g in geometries:
         assert_matches_reference(g)
+
+
+def near_threshold_s11():
+    """A channel whose s11 has its smallest singular value at twice its
+    rank threshold, and its geometry."""
+    g = no_interference_geometry()
+    ch = sample_channel(g, seed=0)
+    u, sv, vh = np.linalg.svd(ch.s11)
+    sv[-1] = 2 * ch.rank_tol * sv[0]
+    return replace(ch, s11=(u * sv) @ vh), g
 
 
 class TestZeroForcingEdges:
@@ -527,12 +585,7 @@ class TestZeroForcingEdges:
             zero_forcing_corner(ch, g)
 
     def test_flow_1_decision_near_its_threshold_warns(self):
-        # s11's smallest singular value set to twice its threshold
-        g = no_interference_geometry()
-        ch = sample_channel(g, seed=0)
-        u, sv, vh = np.linalg.svd(ch.s11)
-        sv[-1] = 2 * ch.rank_tol * sv[0]
-        ch = replace(ch, s11=(u * sv) @ vh)
+        ch, g = near_threshold_s11()
         threshold = ch.rank_tol * np.linalg.norm(ch.s11, 2)
         with pytest.warns(RankToleranceWarning, match=f"{threshold:.3e}"):
             result = zero_forcing_corner(ch, g)
@@ -547,6 +600,20 @@ class TestZeroForcingEdges:
         assert sample_channel(g, seed=0).s12.size == 0
         result = assert_matches_reference(g)
         assert result.max_leakage == 0.0
+
+
+@pytest.mark.parametrize("check", [
+    verify_operator_dims,
+    zero_forcing_corner,
+    lambda ch, g: numerical_rank(ch.s11, ch.rank_tol),
+], ids=["verify_operator_dims", "zero_forcing_corner", "numerical_rank"])
+def test_rank_warnings_point_at_the_caller(check):
+    ch, g = near_threshold_s11()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        check(ch, g)
+    assert caught
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_expectations_match_direction_set_algebra():
