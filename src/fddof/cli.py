@@ -29,7 +29,7 @@ from .oracle import (
     LEAKAGE_TOL,
     DimensionBudgetError,
     QuantizationError,
-    allocate_basis,
+    _plan,
     check_dimension_budget,
     integer_rescale,
     sample_channel,
@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
         g, scale = integer_rescale(g)
         print(f"auto-rescale: x{scale}")
     check_dimension_budget(g)
-    allocate_basis(g)  # refuses a non-integral geometry before the report
+    _plan(g)  # refuses a non-integral geometry before the report
     seeds = args.seeds if args.seeds is not None else scn.oracle.seeds
     rank_tol = args.rank_tol if args.rank_tol is not None else scn.oracle.rank_tol
     print(f"seeds: {seeds}   rank_tol: {rank_tol:g}")

@@ -13,7 +13,9 @@ with probability one.  The zero-forcing corner gives flow 2 the transmit
 subspace ker(U1^H s12), U1 an orthonormal basis of range(s11), with its
 rank threshold relative to the spectral norm of s12.  A channel factors s11
 and s12 once, on first use, and both checks read those factors; its
-matrices are read-only, so the factors cannot go stale.
+matrices are read-only, so the factors cannot go stale.  Per-geometry facts
+(the basis allocation, each operator's supported rows and columns, the link
+products) are computed once per geometry, not once per seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 # numpy is imported inside the functions that touch a matrix, so importing
@@ -38,7 +40,9 @@ LEAKAGE_TOL = 1e-8
 # Largest signal space the oracle will sample, in basis functions.  Each of
 # the three channel matrices, and the cached left singular vectors of s11,
 # is at most this square in complex128, so a live channel holds at most
-# 4 * 2048**2 * 16 B = 256 MiB.
+# 4 * 2048**2 * 16 B = 256 MiB.  The per-geometry plan cache keeps at most
+# 128 plans of 6 index arrays of at most this length in int64, so at most
+# 128 * 6 * 2048 * 8 B = 12 MiB.
 MAX_SPACE_DIM = 2048
 
 
@@ -258,9 +262,13 @@ class DiscretizedChannel:
 
     @cached_property
     def _svd11(self) -> tuple[np.ndarray, np.ndarray]:
-        """U and the singular values of the thin SVD of s11."""
+        """U and the singular values of the thin SVD of s11; empty
+        factors, and no LAPACK call, for an empty s11."""
         import numpy as np
 
+        if self.s11.size == 0:
+            rows = self.s11.shape[0]
+            return np.zeros((rows, 0), dtype=np.complex128), np.zeros(0)
         u, sv, _ = np.linalg.svd(self.s11, full_matrices=False)
         return u, sv
 
@@ -269,26 +277,48 @@ class DiscretizedChannel:
         """The singular values of s12."""
         return _svals(self.s12)
 
-
-def _support_masks(alloc: BasisAllocation):
-    """Row and column support masks of each operator, in draw order: its
-    receive and transmit supports are members of those spaces' families."""
-    return {
-        "s11": (alloc.r1.mask(0), alloc.t1.mask(0)),  # r11 x t11
-        "s12": (alloc.r1.mask(1), alloc.t2.mask(1)),  # r12 x t12
-        "s22": (alloc.r2.mask(0), alloc.t2.mask(0)),  # r22 x t22
-    }
+    @cached_property
+    def _sv22(self) -> np.ndarray:
+        """The singular values of s22."""
+        return _svals(self.s22)
 
 
-def _sample_block(rng, row_mask, col_mask):
+@lru_cache
+def _plan(g: ScatteringGeometry):
+    """What every channel of ``g`` shares: its ``BasisAllocation``, the
+    supported row and column indices of each operator in draw order (as
+    read-only arrays), and its ``link_products``.
+
+    Raises QuantizationError, or DimensionBudgetError before any index
+    array is built, on every call: ``lru_cache`` stores no exception.
+    """
+    alloc = allocate_basis(g)
+    for space in (alloc.t1, alloc.t2, alloc.r1, alloc.r2):
+        if space.total > MAX_SPACE_DIM:
+            raise DimensionBudgetError(space.label, space.total)
     import numpy as np
 
-    out = np.zeros((row_mask.size, col_mask.size), dtype=np.complex128)
-    rows = np.flatnonzero(row_mask)
-    cols = np.flatnonzero(col_mask)
+    # each operator's receive and transmit supports are members of those
+    # spaces' families
+    masks = (
+        (alloc.r1.mask(0), alloc.t1.mask(0)),  # s11: r11 x t11
+        (alloc.r1.mask(1), alloc.t2.mask(1)),  # s12: r12 x t12
+        (alloc.r2.mask(0), alloc.t2.mask(0)),  # s22: r22 x t22
+    )
+    supports = tuple(tuple(map(np.flatnonzero, pair)) for pair in masks)
+    for pair in supports:
+        for index in pair:
+            index.flags.writeable = False
+    return alloc, supports, link_products(g)
+
+
+def _sample_block(rng, shape, rows, cols):
+    import numpy as np
+
+    out = np.zeros(shape, dtype=np.complex128)
     if rows.size and cols.size:
-        shape = (rows.size, cols.size)
-        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        size = (rows.size, cols.size)
+        block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         out[np.ix_(rows, cols)] = block / np.sqrt(2)
     return out
 
@@ -322,16 +352,14 @@ def sample_channel(
     seed reproduces them bit for bit.  Raises DimensionBudgetError, before
     anything is allocated, when a space exceeds MAX_SPACE_DIM.
     """
-    alloc = allocate_basis(g)
-    for space in (alloc.t1, alloc.t2, alloc.r1, alloc.r2):
-        if space.total > MAX_SPACE_DIM:
-            raise DimensionBudgetError(space.label, space.total)
+    alloc, supports, _ = _plan(g)
     import numpy as np
 
     rng = np.random.default_rng(seed)
+    shapes = ((alloc.r1, alloc.t1), (alloc.r1, alloc.t2), (alloc.r2, alloc.t2))
     s11, s12, s22 = (
-        _sample_block(rng, rows, cols)
-        for rows, cols in _support_masks(alloc).values()
+        _sample_block(rng, (rows.total, cols.total), *support)
+        for (rows, cols), support in zip(shapes, supports)
     )
     return DiscretizedChannel(s11, s12, s22, alloc, g, rank_tol)
 
@@ -346,15 +374,13 @@ def corrupt_support(
     or row (c > r) is zeroed.  Raises ValueError when ``ch`` was not
     sampled from ``g``.
     """
-    import numpy as np
-
     _check_geometry(ch, g)
-    masks = _support_masks(ch.allocation)
+    supports = dict(zip(("s11", "s12", "s22"), _plan(g)[1]))
     for name in ("s12", "s11", "s22"):
         mat = getattr(ch, name)
         if mat.size == 0:
             continue
-        rows, cols = (np.flatnonzero(mask) for mask in masks[name])
+        rows, cols = supports[name]
         patched = mat.copy()
         if not (rows.size and cols.size):
             patched[0, 0] = 1.0
@@ -406,11 +432,11 @@ def verify_operator_dims(
     when ``ch`` was not sampled from ``g``.
     """
     _check_geometry(ch, g)
-    k, a, b, c, d, e, f, p, _, _, _, u, _ = link_products(g)
+    k, a, b, c, d, e, f, p, _, _, _, u, _ = _plan(g)[2]
     tol = ch.rank_tol
     rank11 = _rank(ch._svd11[1], tol)
     rank12 = _rank(ch._sv12, tol)
-    rank22 = _rank(_svals(ch.s22), tol)
+    rank22 = _rank(ch._sv22, tol)
 
     exp_rank11 = _as_int(2 * min(a, b), k)
     exp_rank12 = _as_int(2 * min(e, f), k)
@@ -449,7 +475,9 @@ def zero_forcing_corner(
     ker(U1^H s12), read from the right singular vectors of U1^H s12 whose
     singular values fall below rank_tol times the spectral norm of s12.
     d2 is the rank of s22 restricted to P, which caps it by the downlink
-    receive dimension automatically.
+    receive dimension automatically.  When d1 = 0 there is nothing to
+    miss: P is the whole transmit space, d2 = rank(s22), and no SVD runs
+    beyond the channel's cached ones.
 
     The leakage figure is measured, not read back from the singular
     values: the largest column norm of U1^H s12 P, relative to the
@@ -462,6 +490,12 @@ def zero_forcing_corner(
     tol = ch.rank_tol
     u11, sv11 = ch._svd11
     d1 = _rank(sv11, tol)
+    if not d1:
+        # nothing to miss: P is the whole transmit space and s22 P is s22
+        return ZeroForcingResult(
+            d1=0, d2=_rank(ch._sv22, tol), p12_dim=ch.s12.shape[1],
+            max_leakage=0.0,
+        )
     # the interference flow 2 deposits on flow 1's receive space
     m = u11[:, :d1].conj().T @ ch.s12
     # relative to s12 itself: m may hold nothing but round-off

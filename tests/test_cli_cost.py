@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fddof import cli, regions
+from fddof import cli, oracle, regions
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PATHS = [str(path) for path in sorted(SCENARIOS.glob("*.json"))]
@@ -128,3 +128,29 @@ def test_link_products_once_per_geometry(monkeypatch, capsys, command, calls):
     assert cli.main([command, path]) == 0
     capsys.readouterr()
     assert count == calls
+
+
+def test_verify_allocates_once_for_all_seeds(monkeypatch, capsys):
+    counts = {}
+    for name in ("allocate_basis", "link_products"):
+        original = getattr(oracle, name)
+        counts[name] = 0
+
+        def counted(g, name=name, original=original):
+            counts[name] += 1
+            return original(g)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("fddof") and getattr(
+                module, name, None
+            ) is original:
+                monkeypatch.setattr(module, name, counted)
+    oracle._plan.cache_clear()
+    path = str(SCENARIOS / "symmetric_overlap_075.json")
+    argv = ["verify", path, "--auto-rescale", "--seeds", "20"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "RESULT: PASS"
+    # link_products: the parse-time denominator bound, the dimension
+    # budget, fd_caps, corner_points, zf_case_applies and the one plan
+    # every seed's checks read
+    assert counts == {"allocate_basis": 1, "link_products": 6}

@@ -38,6 +38,7 @@ from fddof import (
 from fddof.oracle import (
     LEAKAGE_TOL,
     MAX_SPACE_DIM,
+    _plan,
     check_dimension_budget,
 )
 from geom_helpers import (
@@ -139,6 +140,29 @@ class TestSampleChannel:
         a = sample_channel(g, seed=1)
         b = sample_channel(g, seed=2)
         assert not np.array_equal(a.s11, b.s11)
+
+    def test_equal_geometries_share_one_plan_and_draw_alike(self):
+        _plan.cache_clear()
+        first, second = (symmetric_overlap(2, F(3, 4)) for _ in range(2))
+        assert first == second and first is not second
+        a = sample_channel(first, seed=5)
+        b = sample_channel(second, seed=5)
+        for name in ("s11", "s12", "s22"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert _plan.cache_info()[:2] == (1, 1)  # hits, misses
+        assert _plan.cache_info().maxsize is not None
+
+    def test_non_integral_geometry_is_refused_on_every_call(self):
+        g = symmetric_overlap(1, F(3, 4))
+        for _ in range(2):
+            with pytest.raises(QuantizationError):
+                sample_channel(g, seed=0)
+
+    def test_cached_support_indices_are_read_only(self):
+        for rows, cols in _plan(symmetric_overlap(2, F(3, 4)))[1]:
+            for index in (rows, cols):
+                with pytest.raises(ValueError):
+                    index[0] = 0
 
     def test_empty_interference_gives_zero_matrix(self):
         ch = sample_channel(no_interference_geometry(), seed=0)
@@ -487,6 +511,18 @@ class TestZeroForcing:
         # the shared factors are cached on the channel: m and s22 P
         zero_forcing_corner(ch, g)
         assert count == 7
+        # an empty s11 needs no LAPACK call, and d1 = 0 leaves P the whole
+        # transmit space, so s22 P is s22: s12 and s22 only
+        g = replace(no_interference_geometry(), t11=DirectionSet(),
+                    t12=ds((0, 1)), r12=ds((0, 1)))
+        ch = sample_channel(g, seed=0)
+        assert ch.s11.size == 0 and ch.s12.size and ch.s22.size
+        count = 0
+        verify_operator_dims(ch, g)
+        result = zero_forcing_corner(ch, g)
+        assert count == 2
+        assert (result.d1, result.d2, result.p12_dim) == (0, 2, 2)
+        assert ch._svd11[0].shape == (2, 0)
 
 
 # the checked-in scenarios scaled so their largest space has 64-80 basis
@@ -708,6 +744,22 @@ class TestDimensionBudget:
             sample_channel(g, seed=0)
         err = info.value
         assert (err.space, err.total) == ("t1", MAX_SPACE_DIM + 1)
+
+    def test_refusal_comes_before_any_array_on_every_call(self, monkeypatch):
+        g = replace(
+            no_interference_geometry(),
+            lengths=ArrayHalfLengths(F(MAX_SPACE_DIM + 1, 2), 1, 1, 1),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated an array")
+
+        for name in ("zeros", "repeat", "flatnonzero"):
+            monkeypatch.setattr(np, name, refuse)
+        _plan.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DimensionBudgetError):
+                sample_channel(g, seed=0)
 
     @pytest.mark.parametrize(
         "index,label", enumerate(("t1", "r1", "t2", "r2"))
