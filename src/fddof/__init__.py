@@ -43,13 +43,11 @@ from .regions import (
     LinkProducts,
     ScatteringGeometry,
     cap_corners,
-    caps_are_rectangular,
     corner_points,
     fd_caps,
     fd_region,
     genie_expand,
     hd_region,
-    hd_region_from_caps,
     is_rectangular,
     link_products,
     make_fully_spread,
@@ -92,7 +90,6 @@ __all__ = [
     "ZeroForcingResult",
     "allocate_basis",
     "cap_corners",
-    "caps_are_rectangular",
     "corner_points",
     "corrupt_support",
     "cos_degrees",
@@ -100,7 +97,6 @@ __all__ = [
     "fd_region",
     "genie_expand",
     "hd_region",
-    "hd_region_from_caps",
     "integer_rescale",
     "is_rectangular",
     "link_products",

@@ -40,13 +40,12 @@ from .oracle import (
 from .regions import (
     RegionRelation,
     cap_corners,
-    caps_are_rectangular,
     corner_points,
     fd_caps,
+    fd_region,
     hd_region,
-    hd_region_from_caps,
+    is_rectangular,
     make_symmetric,
-    region_from_caps,
     region_relate,
 )
 from .scenario import (
@@ -98,9 +97,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def cmd_region(args) -> int:
     scn = load_scenario(args.scenario)
     g = scn.geometry
-    d1_max, d2_max, dsum_max = caps = fd_caps(g)
+    d1_max, d2_max, dsum_max = fd_caps(g)
     corners = corner_points(g)
-    region = region_from_caps(*caps)
+    region = fd_region(g)
 
     print(f"scenario: {scn.name}")
     print(f"d1_max   = {_show(d1_max)}")
@@ -111,7 +110,7 @@ def cmd_region(args) -> int:
         f"corner p'' = ({corners.p_double_prime[0]}, "
         f"{corners.p_double_prime[1]})"
     )
-    print(f"rectangular: {'yes' if caps_are_rectangular(caps) else 'no'}")
+    print(f"rectangular: {'yes' if is_rectangular(g) else 'no'}")
     verts = " ".join(f"({x}, {y})" for x, y in region.vertices)
     print(f"vertices (ccw): {verts}")
 
@@ -127,9 +126,8 @@ def cmd_region(args) -> int:
 def cmd_compare(args) -> int:
     scn = load_scenario(args.scenario)
     g = scn.geometry
-    caps = fd_caps(g)
-    fd = region_from_caps(*caps)
-    hd = hd_region_from_caps(*caps[:2])
+    fd = fd_region(g)
+    hd = hd_region(g)
     relation = region_relate(hd, fd)
 
     print(f"scenario: {scn.name}")
@@ -207,9 +205,9 @@ def cmd_sweep(args) -> int:
     for overlap in grid:
         g = make_symmetric(length, fwd, _with_overlap(fwd, back, overlap))
         d1_max, d2_max, dsum_max = caps = fd_caps(g)
-        rect = caps_are_rectangular(caps)
+        rect = is_rectangular(g)
         rows.append((overlap, *caps, rect))
-        entries.append((f"FD overlap={overlap}", region_from_caps(*caps)))
+        entries.append((f"FD overlap={overlap}", fd_region(g)))
         print(
             f"overlap={overlap}: d1_max={d1_max} d2_max={d2_max} "
             f"dsum_max={dsum_max} rectangular={'yes' if rect else 'no'}"

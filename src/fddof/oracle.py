@@ -14,8 +14,9 @@ subspace ker(U1^H s12), U1 an orthonormal basis of range(s11), with its
 rank threshold relative to the spectral norm of s12.  A channel factors s11
 and s12 once, on first use, and both checks read those factors; its
 matrices are read-only, so the factors cannot go stale.  Per-geometry facts
-(the basis allocation, each operator's supported rows and columns, the link
-products) are computed once per geometry, not once per seed.
+(the basis allocation, each operator's supported rows and columns, and,
+cached in ``regions``, the link products) are computed once per geometry,
+not once per seed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ LEAKAGE_TOL = 1e-8
 # is at most this square in complex128, so a live channel holds at most
 # 4 * 2048**2 * 16 B = 256 MiB.  The per-geometry plan cache keeps at most
 # 128 plans of 6 index arrays of at most this length in int64, so at most
-# 128 * 6 * 2048 * 8 B = 12 MiB.
+# 128 * 6 * 2048 * 8 B = 12 MiB.  The plan holds no link products: those
+# sit in regions.link_products's own cache, which, like the plan's, keeps
+# at most 128 geometries alive.
 MAX_SPACE_DIM = 2048
 
 
@@ -285,9 +288,9 @@ class DiscretizedChannel:
 
 @lru_cache
 def _plan(g: ScatteringGeometry):
-    """What every channel of ``g`` shares: its ``BasisAllocation``, the
+    """What every channel of ``g`` shares: its ``BasisAllocation`` and the
     supported row and column indices of each operator in draw order (as
-    read-only arrays), and its ``link_products``.
+    read-only arrays).
 
     Raises QuantizationError, or DimensionBudgetError before any index
     array is built, on every call: ``lru_cache`` stores no exception.
@@ -309,7 +312,7 @@ def _plan(g: ScatteringGeometry):
     for pair in supports:
         for index in pair:
             index.flags.writeable = False
-    return alloc, supports, link_products(g)
+    return alloc, supports
 
 
 def _sample_block(rng, shape, rows, cols):
@@ -352,7 +355,7 @@ def sample_channel(
     seed reproduces them bit for bit.  Raises DimensionBudgetError, before
     anything is allocated, when a space exceeds MAX_SPACE_DIM.
     """
-    alloc, supports, _ = _plan(g)
+    alloc, supports = _plan(g)
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -432,7 +435,7 @@ def verify_operator_dims(
     when ``ch`` was not sampled from ``g``.
     """
     _check_geometry(ch, g)
-    k, a, b, c, d, e, f, p, _, _, _, u, _ = _plan(g)[2]
+    k, a, b, c, d, e, f, p, _, _, _, u, _ = link_products(g)
     tol = ch.rank_tol
     rank11 = _rank(ch._svd11[1], tol)
     rank12 = _rank(ch._sv12, tol)

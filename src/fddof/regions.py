@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -63,6 +64,12 @@ class ScatteringGeometry:
     self-interference path from the base-station transmitter back into its
     own receiver.  The user devices are hidden from each other, so the
     remaining cross-sets are identically empty and not stored.
+
+    The hash of the seven fields is computed once, on first use, and
+    stored on the instance (not a field: ``repr``, ``==`` and ``fields()``
+    ignore it, and pickling drops it); the closed forms and the oracle's
+    plan are looked up by geometry, so each lookup after the first reads
+    the stored value.
     """
 
     t11: DirectionSet
@@ -72,6 +79,22 @@ class ScatteringGeometry:
     t12: DirectionSet
     r12: DirectionSet
     lengths: ArrayHalfLengths
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((
+            self.t11, self.r11, self.t22, self.r22, self.t12, self.r12,
+            self.lengths,
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # a hash is a fact of one process, so it is not pickled
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def scaled(self, factor: Rational) -> "ScatteringGeometry":
         return replace(self, lengths=self.lengths.scaled(factor))
@@ -220,6 +243,7 @@ def _union(
     return merged
 
 
+@lru_cache(maxsize=128)
 def link_products(g: ScatteringGeometry) -> LinkProducts:
     """The twelve link products every closed form is built from.
 
@@ -232,6 +256,10 @@ def link_products(g: ScatteringGeometry) -> LinkProducts:
     Endpoints are scaled to the lcm of their denominators and lengths to
     the lcm of theirs, so every product is an integer over their product k.
     Only the two overlaps are swept; each difference is |A| - |A & B|.
+
+    Cached for the last 128 geometries (equal geometries share an entry),
+    so every closed form after the first on a geometry reads the same
+    immutable tuple.
     """
     den, (t11, r11, t22, r22, t12, r12) = scaled_endpoints((
         g.t11.intervals, g.r11.intervals, g.t22.intervals,
@@ -365,19 +393,13 @@ def fd_region(g: ScatteringGeometry) -> DofRegion:
 
 
 def hd_region(g: ScatteringGeometry) -> DofRegion:
-    """Half-duplex region: the time-sharing triangle of fd_caps."""
-    d1c, d2c, _ = fd_caps(g)
-    return hd_region_from_caps(d1c, d2c)
-
-
-def hd_region_from_caps(d1_cap: Rational, d2_cap: Rational) -> DofRegion:
     """Half-duplex region: time sharing between the two flows.
 
     Sweeping the time-share parameter traces rectangles whose hull is the
-    triangle on the two per-flow caps; there is no self-interference, so
-    only the point-to-point caps matter.
+    triangle on the two per-flow caps of fd_caps; there is no
+    self-interference, so only the point-to-point caps matter.
     """
-    d1c, d2c = _frac(d1_cap), _frac(d2_cap)
+    d1c, d2c, _ = fd_caps(g)
     zero = Fraction(0)
     verts: list[tuple[Fraction, Fraction]] = [(zero, zero)]
     if d1c > 0:
@@ -407,13 +429,7 @@ def region_relate(a: DofRegion, b: DofRegion) -> RegionRelation:
 
 def is_rectangular(g: ScatteringGeometry) -> bool:
     """True when the sum cap is inactive and the region is a rectangle."""
-    return caps_are_rectangular(fd_caps(g))
-
-
-def caps_are_rectangular(caps: tuple[Fraction, Fraction, Fraction]) -> bool:
-    """True when the sum cap of ``caps`` is inactive: the cap polygon is
-    the rectangle on the two per-flow caps."""
-    d1_max, d2_max, dsum_max = caps
+    d1_max, d2_max, dsum_max = fd_caps(g)
     return dsum_max >= d1_max + d2_max
 
 

@@ -210,7 +210,9 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         raise DomainError(f"lengths: {err}") from None
     geometry = ScatteringGeometry(lengths=half_lengths, **sets)
     # k is a multiple of every denominator, so a running lcm past the budget
-    # refuses before link_products scales each endpoint by a huge k
+    # refuses before link_products scales each endpoint by a huge k; under
+    # the budget, this call leaves the products in link_products's cache
+    # for the closed forms the CLI then takes of this geometry
     endpoints = (x for ds in sets.values() for iv in ds.intervals for x in iv)
     k = 1
     for x in (*length_values.values(), *endpoints):

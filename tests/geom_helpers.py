@@ -20,9 +20,8 @@ from fddof import (
     RegionRelation,
     ScatteringGeometry,
     allocate_basis,
-    caps_are_rectangular,
-    fd_caps,
     integer_rescale,
+    is_rectangular,
     link_products,
     make_symmetric,
     zf_case_applies,
@@ -390,7 +389,7 @@ def binding_geometry_set():
     out = []
     while len(out) < 200:
         g, _ = integer_rescale(_case_candidate(rng))
-        if not caps_are_rectangular(fd_caps(g)) and 0 < max_space_dim(g) <= 64:
+        if not is_rectangular(g) and 0 < max_space_dim(g) <= 64:
             out.append(g)
     return out
 

@@ -1,5 +1,5 @@
 """What the exact subcommands cost: the modules they load and the link
-products they compute.
+products they compute (cache misses, not calls).
 
 ``region``, ``compare`` and ``sweep`` never touch a matrix, so on the
 checked-in scenarios (all on the exact-cosine grid of angles) they load
@@ -101,56 +101,43 @@ def test_off_grid_cosine_loads_mpmath_on_first_use(fresh):
     assert fresh["after_cos45"] == ["numpy", "mpmath"]
 
 
-@pytest.mark.parametrize("command,calls", [
-    # the parse-time denominator bound, fd_caps, corner_points
-    ("region", 3),
-    # the parse-time bound and one fd_caps for both polygons
-    ("compare", 2),
-    # the parse-time bound, one fd_caps per grid value (five by default)
-    # and the half-duplex region of the base
-    ("sweep", 7),
+@pytest.mark.parametrize("command,computed", [
+    # the parse-time denominator bound; fd_caps, corner_points, fd_region
+    # and is_rectangular read its cached products
+    ("region", 1),
+    # likewise, for both polygons
+    ("compare", 1),
+    # the parse-time bound and one per grid value (five by default); the
+    # half-duplex base equals the parsed geometry
+    ("sweep", 6),
 ])
-def test_link_products_once_per_geometry(monkeypatch, capsys, command, calls):
-    original = regions.link_products
-    count = 0
-
-    def counted(g):
-        nonlocal count
-        count += 1
-        return original(g)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fddof") and getattr(
-            module, "link_products", None
-        ) is original:
-            monkeypatch.setattr(module, "link_products", counted)
+def test_link_products_once_per_geometry(capsys, command, computed):
+    regions.link_products.cache_clear()
     path = str(SCENARIOS / "symmetric_overlap_075.json")
     assert cli.main([command, path]) == 0
     capsys.readouterr()
-    assert count == calls
+    assert regions.link_products.cache_info().misses == computed
 
 
 def test_verify_allocates_once_for_all_seeds(monkeypatch, capsys):
-    counts = {}
-    for name in ("allocate_basis", "link_products"):
-        original = getattr(oracle, name)
-        counts[name] = 0
+    calls = 0
+    original = oracle.allocate_basis
 
-        def counted(g, name=name, original=original):
-            counts[name] += 1
-            return original(g)
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return original(g)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("fddof") and getattr(
-                module, name, None
-            ) is original:
-                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(oracle, "allocate_basis", counted)
+    regions.link_products.cache_clear()
     oracle._plan.cache_clear()
     path = str(SCENARIOS / "symmetric_overlap_075.json")
     argv = ["verify", path, "--auto-rescale", "--seeds", "20"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "RESULT: PASS"
-    # link_products: the parse-time denominator bound, the dimension
-    # budget, fd_caps, corner_points, zf_case_applies and the one plan
-    # every seed's checks read
-    assert counts == {"allocate_basis": 1, "link_products": 6}
+    assert calls == 1
+    assert oracle._plan.cache_info().misses == 1
+    # link products of the parsed and of the rescaled geometry; the
+    # dimension budget, the caps, the corners, the case test and every
+    # seed's checks read the latter's cached products
+    assert regions.link_products.cache_info().misses == 2

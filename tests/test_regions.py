@@ -1,6 +1,11 @@
 """Unit and property tests for the region and corner-point formulas."""
 
-from dataclasses import replace
+import copy
+import pickle
+import sys
+import threading
+import time
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +38,7 @@ from geom_helpers import (
     EMPTY,
     GRID,
     TOUCHING,
+    binding_geometry_set,
     criterion_2_geometries,
     direction_sets,
     ds,
@@ -78,6 +84,100 @@ class TestLinkProducts:
         lp = link_products(TOUCHING)
         assert lp.q == lp.s == 0
         assert (lp.p, lp.v) == (lp.c, lp.e)
+
+    def test_cache_is_bounded(self):
+        assert link_products.cache_info().maxsize == 128
+
+    @pytest.mark.parametrize("corpus", [
+        binding_geometry_set,
+        # every fifth geometry of the criterion-2 set keeps the Fraction
+        # reference under a second
+        lambda: criterion_2_geometries()[::5],
+    ], ids=["binding", "random"])
+    def test_a_hit_from_an_equal_geometry_equals_the_reference(self, corpus):
+        for g in corpus():
+            link_products.cache_clear()
+            link_products(g)
+            twin = copy.deepcopy(g)
+            assert twin is not g and twin == g
+            lp = link_products(twin)
+            assert link_products.cache_info()[:2] == (1, 1)  # hits, misses
+            assert tuple(F(x, lp.k) for x in lp[1:]) == (
+                reference_link_products(twin)
+            )
+
+    def test_threads_sharing_one_fresh_geometry_agree(self):
+        # more threads than cores and a short switch interval, so the
+        # first hash and the first computation race; each round starts
+        # from a geometry no thread has hashed and an empty cache
+        workers = 8
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            for base in binding_geometry_set():
+                if time.monotonic() > deadline:
+                    break
+                g = copy.deepcopy(base)
+                expected = (hash(base), link_products.__wrapped__(base))
+                link_products.cache_clear()
+                barrier = threading.Barrier(workers)
+                results = [None] * workers
+
+                def work(slot, g=g, barrier=barrier, results=results):
+                    barrier.wait(timeout=10)
+                    results[slot] = (hash(g), link_products(g))
+
+                threads = [
+                    threading.Thread(target=work, args=(slot,))
+                    for slot in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert results == [expected] * workers
+        finally:
+            sys.setswitchinterval(old_interval)
+
+
+# -- the geometry's stored hash --------------------------------------------------
+
+class TestGeometryHash:
+    def test_equal_geometries_hash_alike_before_and_after_storing(self):
+        g1 = symmetric_overlap(2, F(3, 4))
+        g2 = symmetric_overlap(2, F(3, 4))
+        assert g1 is not g2 and g1 == g2
+        assert "_hash" not in vars(g1) and "_hash" not in vars(g2)
+        assert hash(g1) == hash(g2)  # stores g1's, then g2's
+        assert "_hash" in vars(g1) and "_hash" in vars(g2)
+        assert hash(g1) == hash(g2)
+        g3 = symmetric_overlap(2, F(3, 4))
+        assert hash(g3) == hash(g1)  # a fresh one against a stored one
+
+    def test_derived_geometries_carry_no_stored_hash(self):
+        g = symmetric_overlap(2, F(3, 4))
+        hash(g)
+        assert "_hash" not in vars(g.scaled(2))
+        assert "_hash" not in vars(replace(g))
+        assert hash(replace(g)) == hash(g)
+
+    def test_pickle_round_trip_keeps_equality_and_hash(self):
+        g = symmetric_overlap(2, F(3, 4))
+        stored = hash(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert "_hash" not in vars(back)
+        assert back == g and hash(back) == stored
+
+    def test_the_stored_hash_is_not_a_field(self):
+        g = symmetric_overlap(2, F(3, 4))
+        hash(g)
+        assert [f.name for f in fields(g)] == [
+            "t11", "r11", "t22", "r22", "t12", "r12", "lengths"
+        ]
+        assert "_hash" not in repr(g)
+        assert g == symmetric_overlap(2, F(3, 4))
 
 
 # -- caps ----------------------------------------------------------------------
