@@ -30,7 +30,6 @@ from .oracle import (
     DimensionBudgetError,
     QuantizationError,
     _plan,
-    check_dimension_budget,
     integer_rescale,
     sample_channel,
     verify_operator_dims,
@@ -212,7 +211,7 @@ def cmd_sweep(args) -> int:
             f"overlap={overlap}: d1_max={d1_max} d2_max={d2_max} "
             f"dsum_max={dsum_max} rectangular={'yes' if rect else 'no'}"
         )
-    entries.append(("half-duplex", hd_region(make_symmetric(length, fwd, back))))
+    entries.append(("half-duplex", hd_region(scn.geometry)))
 
     # the sum cap can only tighten as the overlap grows
     ordered = sorted(rows, key=lambda row: row[0])
@@ -242,8 +241,7 @@ def cmd_verify(args) -> int:
     if args.auto_rescale:
         g, scale = integer_rescale(g)
         print(f"auto-rescale: x{scale}")
-    check_dimension_budget(g)
-    _plan(g)  # refuses a non-integral geometry before the report
+    _plan(g)  # refuses over-budget, then non-integral, before the report
     seeds = args.seeds if args.seeds is not None else scn.oracle.seeds
     rank_tol = args.rank_tol if args.rank_tol is not None else scn.oracle.rank_tol
     print(f"seeds: {seeds}   rank_tol: {rank_tol:g}")

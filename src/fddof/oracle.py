@@ -14,9 +14,10 @@ subspace ker(U1^H s12), U1 an orthonormal basis of range(s11), with its
 rank threshold relative to the spectral norm of s12.  A channel factors s11
 and s12 once, on first use, and both checks read those factors; its
 matrices are read-only, so the factors cannot go stale.  Per-geometry facts
-(the basis allocation, each operator's supported rows and columns, and,
-cached in ``regions``, the link products) are computed once per geometry,
-not once per seed.
+(each operator's shape and supported rows and columns, and, cached in
+``regions``, the link products) are computed once per geometry, not once
+per seed; a channel's shapes are checked against the plan of the geometry
+it records.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ LEAKAGE_TOL = 1e-8
 # the three channel matrices, and the cached left singular vectors of s11,
 # is at most this square in complex128, so a live channel holds at most
 # 4 * 2048**2 * 16 B = 256 MiB.  The per-geometry plan cache keeps at most
-# 128 plans of 6 index arrays of at most this length in int64, so at most
-# 128 * 6 * 2048 * 8 B = 12 MiB.  The plan holds no link products: those
-# sit in regions.link_products's own cache, which, like the plan's, keeps
-# at most 128 geometries alive.
+# 128 plans of 6 read-only index arrays of at most this length in int64,
+# plus three shape tuples, so at most 128 * 6 * 2048 * 8 B = 12 MiB of
+# arrays.  The plan holds no link products: those sit in
+# regions.link_products's own cache, which, like the plan's, keeps at most
+# 128 geometries alive.
 MAX_SPACE_DIM = 2048
 
 
@@ -133,15 +135,10 @@ def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> in
 class SpaceAllocation:
     """Basis-function counts per refinement atom of one signal space.
 
-    Atom i is the interval [lo / den, hi / den) for (lo, hi) = bounds[i],
-    left to right, and carries dims[i] basis functions; bit j of
+    Atom i, left to right, carries dims[i] basis functions; bit j of
     members[i] is set when member j of the space's family covers it.
     """
 
-    label: str
-    length: Fraction
-    den: int
-    bounds: tuple[tuple[int, int], ...]
     dims: tuple[int, ...]
     members: tuple[int, ...]
 
@@ -228,9 +225,7 @@ def allocate_basis(g: ScatteringGeometry) -> BasisAllocation:
                     _scale(spaces),
                 )
             dims.append(dim)
-        alloc[label] = SpaceAllocation(
-            label, length, den, tuple(bounds), tuple(dims), tuple(members)
-        )
+        alloc[label] = SpaceAllocation(tuple(dims), tuple(members))
     return BasisAllocation(**alloc)
 
 
@@ -243,24 +238,22 @@ class DiscretizedChannel:
     full transmit space; entries outside the operator's scattering support
     are structurally zero.  Deterministic given (geometry, seed), and
     records that geometry; construction refuses matrices whose shapes
-    differ from the allocation's space totals, and marks the matrices
-    read-only so that the factors cached on first use stay theirs.
+    differ from the ones ``_plan`` gives that geometry, and marks the
+    matrices read-only so that the factors cached on first use stay theirs.
     """
 
     s11: np.ndarray
     s12: np.ndarray
     s22: np.ndarray
-    allocation: BasisAllocation
     geometry: ScatteringGeometry
     rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
-        a = self.allocation
-        shapes = ((a.r1, a.t1), (a.r1, a.t2), (a.r2, a.t2))
-        for mat, (rows, cols) in zip((self.s11, self.s12, self.s22), shapes):
-            if mat.shape != (rows.total, cols.total):
+        mats = (self.s11, self.s12, self.s22)
+        for mat, (shape, _, _) in zip(mats, _plan(self.geometry)):
+            if mat.shape != shape:
                 raise ValueError("matrix shapes differ from the space totals")
-        for mat in (self.s11, self.s12, self.s22):
+        for mat in mats:
             mat.flags.writeable = False
 
     @cached_property
@@ -288,31 +281,31 @@ class DiscretizedChannel:
 
 @lru_cache
 def _plan(g: ScatteringGeometry):
-    """What every channel of ``g`` shares: its ``BasisAllocation`` and the
-    supported row and column indices of each operator in draw order (as
-    read-only arrays).
+    """What every channel of ``g`` shares: per operator s11, s12, s22, in
+    draw order, its matrix shape and its supported row and column indices
+    (as read-only arrays).
 
-    Raises QuantizationError, or DimensionBudgetError before any index
-    array is built, on every call: ``lru_cache`` stores no exception.
+    Raises DimensionBudgetError, from the closed-form space totals, and
+    then QuantizationError, both before any array is built and on every
+    call: ``lru_cache`` stores no exception.
     """
-    alloc = allocate_basis(g)
-    for space in (alloc.t1, alloc.t2, alloc.r1, alloc.r2):
-        if space.total > MAX_SPACE_DIM:
-            raise DimensionBudgetError(space.label, space.total)
+    check_dimension_budget(g)
+    a = allocate_basis(g)
     import numpy as np
 
+    plan = []
     # each operator's receive and transmit supports are members of those
     # spaces' families
-    masks = (
-        (alloc.r1.mask(0), alloc.t1.mask(0)),  # s11: r11 x t11
-        (alloc.r1.mask(1), alloc.t2.mask(1)),  # s12: r12 x t12
-        (alloc.r2.mask(0), alloc.t2.mask(0)),  # s22: r22 x t22
-    )
-    supports = tuple(tuple(map(np.flatnonzero, pair)) for pair in masks)
-    for pair in supports:
-        for index in pair:
+    for (rows, i), (cols, j) in (
+        ((a.r1, 0), (a.t1, 0)),  # s11: r11 x t11
+        ((a.r1, 1), (a.t2, 1)),  # s12: r12 x t12
+        ((a.r2, 0), (a.t2, 0)),  # s22: r22 x t22
+    ):
+        support = np.flatnonzero(rows.mask(i)), np.flatnonzero(cols.mask(j))
+        for index in support:
             index.flags.writeable = False
-    return alloc, supports
+        plan.append(((rows.total, cols.total), *support))
+    return tuple(plan)
 
 
 def _sample_block(rng, shape, rows, cols):
@@ -352,19 +345,16 @@ def sample_channel(
     """Draw the three block-supported matrices for an integral geometry.
 
     The matrices are drawn in a fixed order from one generator, so a given
-    seed reproduces them bit for bit.  Raises DimensionBudgetError, before
-    anything is allocated, when a space exceeds MAX_SPACE_DIM.
+    seed reproduces them bit for bit.  Before anything is allocated, raises
+    DimensionBudgetError when a space exceeds MAX_SPACE_DIM, and otherwise
+    QuantizationError when an atom dimension is non-integral.
     """
-    alloc, supports = _plan(g)
+    plan = _plan(g)
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    shapes = ((alloc.r1, alloc.t1), (alloc.r1, alloc.t2), (alloc.r2, alloc.t2))
-    s11, s12, s22 = (
-        _sample_block(rng, (rows.total, cols.total), *support)
-        for (rows, cols), support in zip(shapes, supports)
-    )
-    return DiscretizedChannel(s11, s12, s22, alloc, g, rank_tol)
+    s11, s12, s22 = (_sample_block(rng, *step) for step in plan)
+    return DiscretizedChannel(s11, s12, s22, g, rank_tol)
 
 
 def corrupt_support(
@@ -378,12 +368,12 @@ def corrupt_support(
     sampled from ``g``.
     """
     _check_geometry(ch, g)
-    supports = dict(zip(("s11", "s12", "s22"), _plan(g)[1]))
+    plan = dict(zip(("s11", "s12", "s22"), _plan(g)))
     for name in ("s12", "s11", "s22"):
         mat = getattr(ch, name)
         if mat.size == 0:
             continue
-        rows, cols = supports[name]
+        _, rows, cols = plan[name]
         patched = mat.copy()
         if not (rows.size and cols.size):
             patched[0, 0] = 1.0

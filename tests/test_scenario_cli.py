@@ -355,6 +355,18 @@ class TestExitCodes:
         for line in ("caps:", "corners:", "seed  rank11", "RESULT: PASS"):
             assert line not in captured.out
 
+    def test_dimension_budget_comes_before_quantization(self, tmp_path,
+                                                        capsys):
+        # t1 = 8194/3 is non-integral, and no integer rescale fits the budget
+        data = base_scenario_dict()
+        data["lengths"]["l_t1"] = "4097/3"
+        data["intervals"]["t12"] = data["intervals"]["r12"] = []
+        assert main(["verify", write_json(tmp_path, data)]) == 7
+        captured = capsys.readouterr()
+        assert "dimension budget" in captured.err
+        # refused before the caps, the corners or the seed table
+        for line in ("caps:", "corners:", "seed  rank11"):
+            assert line not in captured.out
 
     @pytest.mark.parametrize(
         "field",
