@@ -23,6 +23,7 @@ import csv
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .intervals import DirectionSet, DomainError, MalformedIntervalError
 from .oracle import (
@@ -373,8 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves no state on the parser, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as err:

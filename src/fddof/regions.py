@@ -69,7 +69,9 @@ class ScatteringGeometry:
     stored on the instance (not a field: ``repr``, ``==`` and ``fields()``
     ignore it, and pickling drops it); the closed forms and the oracle's
     plan are looked up by geometry, so each lookup after the first reads
-    the stored value.
+    the stored value.  Equality compares an integer key, stored the same
+    way on the first comparison: the six sets' endpoints over their common
+    denominator, one tuple per set, and the lengths as (num, den) pairs.
     """
 
     t11: DirectionSet
@@ -90,10 +92,31 @@ class ScatteringGeometry:
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def _key(self) -> tuple:
+        den, sets = scaled_endpoints((
+            self.t11.intervals, self.r11.intervals, self.t22.intervals,
+            self.r22.intervals, self.t12.intervals, self.r12.intervals,
+        ))
+        L = self.lengths
+        return den, *map(tuple, sets), *(
+            (x.numerator, x.denominator)
+            for x in (L.l_t1, L.l_r1, L.l_t2, L.l_r2)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
     def __getstate__(self) -> dict:
-        # a hash is a fact of one process, so it is not pickled
+        # a hash is a fact of one process and a key is rebuilt on first
+        # use, so neither is pickled
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_key", None)
         return state
 
     def scaled(self, factor: Rational) -> "ScatteringGeometry":

@@ -14,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from fddof import cli, oracle, regions
+from fddof import DirectionSet, cli, oracle, regions
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+GOLDEN = ROOT / "benchmarks" / "golden"
+SYMMETRIC = str(SCENARIOS / "symmetric_overlap_075.json")
 PATHS = [str(path) for path in sorted(SCENARIOS.glob("*.json"))]
 LIGHT = [(command, path) for command in ("region", "compare", "sweep")
          for path in PATHS]
@@ -141,3 +144,61 @@ def test_verify_allocates_once_for_all_seeds(monkeypatch, capsys):
     # dimension budget, the caps, the corners, the case test and every
     # seed's checks read the latter's cached products
     assert regions.link_products.cache_info().misses == 2
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    builds = 0
+    original = cli.build_parser
+
+    def counted():
+        nonlocal builds
+        builds += 1
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in (["region", SYMMETRIC], ["compare", SYMMETRIC],
+                 ["sweep", SYMMETRIC], ["region", PATHS[0]],
+                 ["verify", SYMMETRIC, "--auto-rescale", "--seeds", "1"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert builds == 1
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", SYMMETRIC, "--seeds", "0"])
+    assert info.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert cli.main(["region", SYMMETRIC]) == 0
+    golden = GOLDEN / "coldstart-symmetric_overlap_075.stdout"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_help_exits_0_and_the_next_call_parses(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    assert "usage: fddof" in capsys.readouterr().out
+    assert cli.main(["compare", SYMMETRIC]) == 0
+    assert capsys.readouterr().out.startswith("scenario: ")
+
+
+def test_an_equal_geometry_again_compares_no_direction_sets(monkeypatch,
+                                                           capsys):
+    # the second call parses a fresh geometry equal to the cached ones;
+    # each cache lookup compares the two geometries' stored integer keys
+    argv = ["verify", SYMMETRIC, "--auto-rescale", "--seeds", "20"]
+    assert cli.main(argv) == 0
+    calls = 0
+    original = DirectionSet.__eq__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(DirectionSet, "__eq__", counted)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "RESULT: PASS"
+    assert calls == 0

@@ -108,8 +108,8 @@ class TestLinkProducts:
 
     def test_threads_sharing_one_fresh_geometry_agree(self):
         # more threads than cores and a short switch interval, so the
-        # first hash and the first computation race; each round starts
-        # from a geometry no thread has hashed and an empty cache
+        # first hash, key and computation race; each round starts from a
+        # geometry no thread has hashed or compared and an empty cache
         workers = 8
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -119,14 +119,15 @@ class TestLinkProducts:
                 if time.monotonic() > deadline:
                     break
                 g = copy.deepcopy(base)
-                expected = (hash(base), link_products.__wrapped__(base))
+                expected = (hash(base), link_products.__wrapped__(base), True)
                 link_products.cache_clear()
                 barrier = threading.Barrier(workers)
                 results = [None] * workers
 
-                def work(slot, g=g, barrier=barrier, results=results):
+                def work(slot, g=g, base=base, barrier=barrier,
+                         results=results):
                     barrier.wait(timeout=10)
-                    results[slot] = (hash(g), link_products(g))
+                    results[slot] = (hash(g), link_products(g), g == base)
 
                 threads = [
                     threading.Thread(target=work, args=(slot,))
@@ -178,6 +179,133 @@ class TestGeometryHash:
         ]
         assert "_hash" not in repr(g)
         assert g == symmetric_overlap(2, F(3, 4))
+        assert "_key" not in repr(g)
+
+
+# -- the geometry's stored equality key ------------------------------------------
+
+def field_by_field(g1, g2):
+    return all(getattr(g1, f.name) == getattr(g2, f.name) for f in fields(g1))
+
+
+# a coarse grid, so independently drawn fields are often equal
+_coarse_sets = direction_sets(max_fragments=2, grid=2)
+_coarse_lengths = st.integers(0, 2).map(lambda n: F(n, 2))
+
+
+@st.composite
+def geometry_pairs(draw):
+    """g1, and g2 that draws a few of the ten set and length slots afresh
+    and rebuilds the others from g1's, so the two share no object."""
+    sets = [draw(_coarse_sets) for _ in range(6)]
+    lens = [draw(_coarse_lengths) for _ in range(4)]
+    fresh = draw(st.sets(st.integers(0, 9), max_size=3))
+    g1 = ScatteringGeometry(*sets, lengths=ArrayHalfLengths(*lens))
+    g2 = ScatteringGeometry(
+        *(draw(_coarse_sets) if i in fresh else DirectionSet(x.intervals)
+          for i, x in enumerate(sets)),
+        lengths=ArrayHalfLengths(*(
+            draw(_coarse_lengths) if 6 + i in fresh else F(x)
+            for i, x in enumerate(lens)
+        )),
+    )
+    return g1, g2
+
+
+class TestGeometryKey:
+    @given(geometry_pairs(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_equality_agrees_with_the_fields(self, pair, hash_first):
+        g1, g2 = pair
+        expected = field_by_field(g1, g2)
+        if hash_first:
+            hash(g1), hash(g2)
+        assert (g1 == g2) is expected
+        assert (g2 == g1) is expected
+        assert (g1 != g2) is not expected
+        if expected:
+            assert hash(g1) == hash(g2)
+        # a second comparison reads the stored keys
+        assert (g1 == g2) is expected
+
+    def test_set_boundaries_are_kept(self):
+        a, b, c = (F(-1), F(-1, 2)), (F(0), F(1, 4)), (F(1, 2), F(1))
+        unit = ArrayHalfLengths(1, 1, 1, 1)
+        fwd = ds((0, 1))
+
+        def geometry(t11, r11, t12, r12):
+            return ScatteringGeometry(t11, r11, fwd, fwd, t12, r12, unit)
+
+        # one interval moved from t12 to r12: the same endpoints in order
+        assert (geometry(fwd, fwd, ds(a, b), ds(c))
+                != geometry(fwd, fwd, ds(a), ds(b, c)))
+        assert (geometry(fwd, fwd, ds(a), ds())
+                != geometry(fwd, fwd, ds(), ds(a)))
+        # an interval in t11 and an empty r11, against the reverse
+        assert (geometry(ds(b), ds(), fwd, fwd)
+                != geometry(ds(), ds(b), fwd, fwd))
+
+    def test_endpoints_are_compared_with_their_denominator(self):
+        # both scale to the integer pair (0, 1): over 2 and over 4
+        unit = ArrayHalfLengths(1, 1, 1, 1)
+        half = ScatteringGeometry(*[ds((0, F(1, 2)))] * 6, unit)
+        quarter = ScatteringGeometry(*[ds((0, F(1, 4)))] * 6, unit)
+        assert half != quarter and quarter != half
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_geometries_differing_in_one_length_differ(self, index):
+        g = symmetric_overlap(2, F(3, 4))
+        lens = [g.lengths.l_t1, g.lengths.l_r1, g.lengths.l_t2, g.lengths.l_r2]
+        for other in (lens[index] + F(1, 3), lens[index] * 3, F(0)):
+            changed = list(lens)
+            changed[index] = other
+            h = replace(g, lengths=ArrayHalfLengths(*changed))
+            assert h != g and g != h
+            assert h == replace(g, lengths=ArrayHalfLengths(*changed))
+
+    def test_equal_rationals_written_differently_are_equal(self):
+        def geometry(low, half, quarter, one):
+            sets = (ds((low, quarter)), ds((quarter, half)))
+            return ScatteringGeometry(
+                *sets, *sets, *sets,
+                ArrayHalfLengths(half, quarter, one, 1),
+            )
+
+        g1 = geometry(F(-1, 2), F(1, 2), F(1, 4), F(1))
+        g2 = geometry(F(-2, 4), F(2, 4), F(3, 12), F(4, 4))
+        g3 = geometry("-1/2", "2/4", 0.25, 1)
+        assert g1 == g2 == g3 and hash(g1) == hash(g2) == hash(g3)
+
+    def test_scaled_geometries_are_equal(self):
+        g = symmetric_overlap(F(3, 2), F(3, 4))
+        assert g == symmetric_overlap(F(3, 2), F(3, 4))  # stores g's key
+        s1, s2 = g.scaled(2), g.scaled(2)
+        assert "_key" not in vars(s1) and "_key" not in vars(s2)
+        assert s1 is not s2 and s1 == s2 and hash(s1) == hash(s2)
+        assert s1 != g and g.scaled(1) == g
+
+    def test_the_key_is_stored_on_the_first_comparison_only(self):
+        g1 = symmetric_overlap(2, F(3, 4))
+        g2 = symmetric_overlap(2, F(3, 4))
+        assert g1 == g1 and "_key" not in vars(g1)  # the same object
+        hash(g1)
+        assert "_key" not in vars(g1)  # hashing computes no key
+        assert g1 == g2
+        assert "_key" in vars(g1) and "_key" in vars(g2)
+
+    def test_pickle_drops_the_key(self):
+        g = symmetric_overlap(2, F(3, 4))
+        assert g == symmetric_overlap(2, F(3, 4))
+        assert "_key" in vars(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert "_key" not in vars(back) and "_hash" not in vars(back)
+        assert back == g and g == back
+
+    def test_other_types_are_not_equal(self):
+        g = symmetric_overlap(2, F(3, 4))
+        assert g.__eq__(g.lengths) is NotImplemented
+        assert g.__eq__(None) is NotImplemented
+        assert g != g.lengths and g != g.t11
 
 
 # -- caps ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from fddof import (
     DirectionSet,
     corrupt_support,
+    cos_degrees,
     fd_caps,
     load_scenario,
     make_fully_spread,
@@ -338,6 +339,10 @@ class TestExitCodes:
             for name in ("t11", "r11", "t22", "r22", "t12", "r12")
         }
         path = write_json(tmp_path, data)
+        # mpmath's first import and the parser are once-per-process costs,
+        # paid here, so the window sees only the refusal in any test order
+        cos_degrees(45)
+        cli._parser()
         tracemalloc.start()
         try:
             start = time.perf_counter()
