@@ -6,8 +6,9 @@ a usage error (argparse: unknown option, missing argument, or an option
 value its validator rejects, such as ``--seeds 0``, a ``--seeds`` above
 ``scenario.MAX_SEEDS`` or ``--rank-tol nan``); 3 schema error: scenario text
 that is not UTF-8 JSON, a field of the wrong type, an ``oracle.seeds`` above
-``MAX_SEEDS``, a rational literal over the digit budget, or lengths and
-endpoints whose common denominator is over the bit budget; 4 interval/length
+``MAX_SEEDS``, a scenario name with a control character, a rational
+literal over the digit budget, or lengths and endpoints whose common
+denominator is over the bit budget; 4 interval/length
 invariant violation, or a sweep whose sum cap rises with the overlap; 5 bad
 sweep base, including a ``--grid`` value that is not a rational literal
 within the digit budget; 6 quantization, found before ``verify`` prints
@@ -412,6 +413,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # what the terminal cannot encode, say a scenario name, is escaped
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

@@ -266,32 +266,31 @@ def scaled_endpoints(
     ]
 
 
-def scaled_atoms(
-    sets: Sequence[DirectionSet],
-) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """The atoms of ``refine(sets)`` as integer pairs over one ``den``, and
-    per atom the bit mask of the sets that cover it (bit i for ``sets[i]``).
+def integer_atoms(
+    families: Sequence[Sequence[tuple[int, int]]],
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The atoms of ``refine`` on canonical integer interval lists, and per
+    atom the bit mask of the lists that cover it (bit i for list i).
 
-    A canonical set never closes one interval and opens the next at the
+    A canonical list never closes one interval and opens the next at the
     same point, so its bit flips exactly at its own endpoints and
     membership changes at every breakpoint: the atoms are exactly the
-    pieces between consecutive breakpoints that some set covers.
+    pieces between consecutive breakpoints that some list covers.
     """
-    den, scaled = scaled_endpoints([ds.intervals for ds in sets])
     flips: dict[int, int] = {}
-    for bit, intervals in enumerate(scaled):
+    for bit, intervals in enumerate(families):
         for lo, hi in intervals:
             flips[lo] = flips.get(lo, 0) ^ (1 << bit)
             flips[hi] = flips.get(hi, 0) ^ (1 << bit)
     points = sorted(flips)
-    atoms, members = [], []
+    pieces, members = [], []
     cover = 0
     for lo, hi in zip(points, points[1:]):
         cover ^= flips[lo]
         if cover:
-            atoms.append((lo, hi))
+            pieces.append((lo, hi))
             members.append(cover)
-    return den, atoms, members
+    return pieces, members
 
 
 def refine(sets: Sequence[DirectionSet]) -> list[DirectionSet]:
@@ -302,5 +301,6 @@ def refine(sets: Sequence[DirectionSet]) -> list[DirectionSet]:
     ``refine([a])`` returns a's connected components.  Atoms are pairwise
     disjoint and cover exactly the union of the inputs.
     """
-    den, atoms, _ = scaled_atoms(sets)
-    return [DirectionSet._from_scaled([atom], den) for atom in atoms]
+    den, scaled = scaled_endpoints([ds.intervals for ds in sets])
+    pieces, _ = integer_atoms(scaled)
+    return [DirectionSet._from_scaled([atom], den) for atom in pieces]

@@ -4,12 +4,12 @@ Each signal space is identified with coordinates over one orthonormal basis
 function per resolvable direction: a refinement atom of width w under an
 array of half-length L contributes exactly 2*L*w basis functions, which must
 be an integer (apply integer_rescale first if it is not).  Atoms, their
-dimensions and their support masks are computed exactly on integer
-endpoints over one denominator per space.  The scattering operators become
-complex matrices whose support is exactly the product of the receive and
-transmit scattering intervals, with free entries drawn from a standard
-complex normal so that every fully-supported submatrix has maximal rank
-with probability one.  The zero-forcing corner gives flow 2 the transmit
+dimensions and their support masks are computed exactly on the geometry's
+integer form: every endpoint over one denominator, every length over
+another.  The scattering operators become complex matrices whose support
+is exactly the product of the receive and transmit scattering intervals,
+with free entries drawn from a standard complex normal so that every
+fully-supported submatrix has maximal rank with probability one.  The zero-forcing corner gives flow 2 the transmit
 subspace ker(U1^H s12), U1 an orthonormal basis of range(s11), with its
 rank threshold relative to the spectral norm of s12.  A channel factors s11
 and s12 once, on first use, and both checks read those factors; its
@@ -31,8 +31,8 @@ from fractions import Fraction
 # numpy is imported inside the functions that touch a matrix, so importing
 # this module (and the package, and the CLI) leaves it unloaded until the
 # first oracle call
-from .intervals import DirectionSet, scaled_atoms
-from .regions import ScatteringGeometry, link_products
+from .intervals import DirectionSet, integer_atoms
+from .regions import ScatteringGeometry, _integer_form, link_products
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -164,24 +164,25 @@ class BasisAllocation:
 
 
 def _scaled_spaces(g: ScatteringGeometry):
-    """Per signal space t1, t2, r1, r2: its label, its array half-length
-    and the ``scaled_atoms`` of the supports it unites."""
-    L = g.lengths
-    return [
-        ("t1", L.l_t1, *scaled_atoms([g.t11])),
-        ("t2", L.l_t2, *scaled_atoms([g.t22, g.t12])),
-        ("r1", L.l_r1, *scaled_atoms([g.r11, g.r12])),
-        ("r2", L.l_r2, *scaled_atoms([g.r22])),
+    """``den``, ``k`` and, per signal space t1, t2, r1, r2 of the integer
+    form: its label, its array's span 2L over ``scale``, and the
+    ``integer_atoms`` of the supports it unites, over ``den``.  An atom
+    (lo, hi) then carries span * (hi - lo) / k basis functions."""
+    den, scale, sets, (lt1, lr1, lt2, lr2) = _integer_form(g)
+    t11, r11, t22, r22, t12, r12 = sets
+    return den, den * scale, [
+        ("t1", 2 * lt1, *integer_atoms([t11])),
+        ("t2", 2 * lt2, *integer_atoms([t22, t12])),
+        ("r1", 2 * lr1, *integer_atoms([r11, r12])),
+        ("r2", 2 * lr2, *integer_atoms([r22])),
     ]
 
 
-def _scale(spaces) -> int:
+def _scale(k: int, spaces) -> int:
     scale = 1
-    for _, length, den, bounds, _ in spaces:
-        unit = length.denominator * den
-        twice = 2 * length.numerator
+    for _, span, bounds, _ in spaces:
         for lo, hi in bounds:
-            scale = math.lcm(scale, unit // math.gcd(twice * (hi - lo), unit))
+            scale = math.lcm(scale, k // math.gcd(span * (hi - lo), k))
     return scale
 
 
@@ -192,7 +193,8 @@ def integer_rescale(g: ScatteringGeometry) -> tuple[ScatteringGeometry, int]:
     scaled geometry translate back by dividing by the returned factor, the
     least positive multiplier that makes every atom dimension integral.
     """
-    scale = _scale(_scaled_spaces(g))
+    _, k, spaces = _scaled_spaces(g)
+    scale = _scale(k, spaces)
     return (g if scale == 1 else g.scaled(scale)), scale
 
 
@@ -205,24 +207,19 @@ def allocate_basis(g: ScatteringGeometry) -> BasisAllocation:
     a dimension is non-integral, together with the smallest integer length
     scale that repairs the whole geometry.
     """
-    spaces = _scaled_spaces(g)
+    den, k, spaces = _scaled_spaces(g)
     alloc = {}
-    for label, length, den, bounds, members in spaces:
-        # an atom of width (hi - lo) / den carries 2 * length * width
-        # basis functions: an integer over unit
-        unit = length.denominator * den
-        twice = 2 * length.numerator
+    for label, span, bounds, members in spaces:
         dims = []
         for lo, hi in bounds:
-            dim, rest = divmod(twice * (hi - lo), unit)
+            dim, rest = divmod(span * (hi - lo), k)
             if rest:
-                total = twice * sum(b - a for a, b in bounds)
                 raise QuantizationError(
                     label,
                     DirectionSet._from_scaled([(lo, hi)], den),
-                    Fraction(twice * (hi - lo), unit),
-                    Fraction(total, unit),
-                    _scale(spaces),
+                    Fraction(span * (hi - lo), k),
+                    Fraction(span * sum(b - a for a, b in bounds), k),
+                    _scale(k, spaces),
                 )
             dims.append(dim)
         alloc[label] = SpaceAllocation(tuple(dims), tuple(members))
@@ -279,7 +276,7 @@ class DiscretizedChannel:
         return _svals(self.s22)
 
 
-@lru_cache
+@lru_cache(maxsize=128)
 def _plan(g: ScatteringGeometry):
     """What every channel of ``g`` shares: per operator s11, s12, s22, in
     draw order, its matrix shape and its supported row and column indices

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from typing import NamedTuple
 
 from .intervals import (
@@ -56,6 +55,26 @@ class ArrayHalfLengths:
         )
 
 
+def _integer_form(g: ScatteringGeometry) -> tuple:
+    """The geometry as integers: ``(den, scale, sets, lengths)``.
+
+    ``sets`` holds t11, r11, t22, r22, t12, r12, each a tuple of endpoint
+    pairs over ``den``, the lcm of the endpoint denominators; ``lengths``
+    holds l_t1, l_r1, l_t2, l_r2 over ``scale``, the lcm of theirs.  Both
+    are least, so geometries are equal exactly when their forms are.
+    """
+    den, sets = scaled_endpoints((
+        g.t11.intervals, g.r11.intervals, g.t22.intervals,
+        g.r22.intervals, g.t12.intervals, g.r12.intervals,
+    ))
+    L = g.lengths
+    # the four lengths as two pairs, scaled the way endpoints are
+    scale, [[(lt1, lr1), (lt2, lr2)]] = scaled_endpoints(
+        [[(L.l_t1, L.l_r1), (L.l_t2, L.l_r2)]]
+    )
+    return den, scale, tuple(map(tuple, sets)), (lt1, lr1, lt2, lr2)
+
+
 @dataclass(frozen=True)
 class ScatteringGeometry:
     """Six effective scattering intervals plus the four array half-lengths.
@@ -65,13 +84,11 @@ class ScatteringGeometry:
     own receiver.  The user devices are hidden from each other, so the
     remaining cross-sets are identically empty and not stored.
 
-    The hash of the seven fields is computed once, on first use, and
-    stored on the instance (not a field: ``repr``, ``==`` and ``fields()``
-    ignore it, and pickling drops it); the closed forms and the oracle's
-    plan are looked up by geometry, so each lookup after the first reads
-    the stored value.  Equality compares an integer key, stored the same
-    way on the first comparison: the six sets' endpoints over their common
-    denominator, one tuple per set, and the lengths as (num, den) pairs.
+    Hash and equality read the integer form (``_integer_form``).  The
+    hash is computed once, on first use, and stored as one int (not a
+    field: ``repr``, ``==`` and ``fields()`` ignore it, and pickling drops
+    it), so each cache lookup by geometry after the first reads it.
+    Equality compares the forms, which the first comparison stores.
     """
 
     t11: DirectionSet
@@ -84,25 +101,12 @@ class ScatteringGeometry:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((
-            self.t11, self.r11, self.t22, self.r22, self.t12, self.r12,
-            self.lengths,
-        ))
+        return hash(_integer_form(self))
 
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
-    def _key(self) -> tuple:
-        den, sets = scaled_endpoints((
-            self.t11.intervals, self.r11.intervals, self.t22.intervals,
-            self.r22.intervals, self.t12.intervals, self.r12.intervals,
-        ))
-        L = self.lengths
-        return den, *map(tuple, sets), *(
-            (x.numerator, x.denominator)
-            for x in (L.l_t1, L.l_r1, L.l_t2, L.l_r2)
-        )
+    _key = cached_property(_integer_form)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -276,27 +280,16 @@ def link_products(g: ScatteringGeometry) -> LinkProducts:
     - p = l_t2 |t22 - t12|, q = l_t2 |t22 & t12|, v = l_t2 |t12 - t22|;
     - r = l_r1 |r11 - r12|, s = l_r1 |r11 & r12|, u = l_r1 |r12 - r11|.
 
-    Endpoints are scaled to the lcm of their denominators and lengths to
-    the lcm of theirs, so every product is an integer over their product k.
-    Only the two overlaps are swept; each difference is |A| - |A & B|.
+    Read from the geometry's integer form, so every product is an integer
+    over k = den * scale.  Only the two overlaps are swept; each
+    difference is |A| - |A & B|.
 
     Cached for the last 128 geometries (equal geometries share an entry),
     so every closed form after the first on a geometry reads the same
     immutable tuple.
     """
-    den, (t11, r11, t22, r22, t12, r12) = scaled_endpoints((
-        g.t11.intervals, g.r11.intervals, g.t22.intervals,
-        g.r22.intervals, g.t12.intervals, g.r12.intervals,
-    ))
-    L = g.lengths
-    lengths = (L.l_t1, L.l_r1, L.l_t2, L.l_r2)
-    scale = 1
-    for x in lengths:
-        if scale % x.denominator:
-            scale = lcm(scale, x.denominator)
-    lt1, lr1, lt2, lr2 = [
-        x.numerator * (scale // x.denominator) for x in lengths
-    ]
+    den, scale, sets, (lt1, lr1, lt2, lr2) = _integer_form(g)
+    t11, r11, t22, r22, t12, r12 = sets
     w_r11, w_t22, w_t12, w_r12 = (
         _width(r11), _width(t22), _width(t12), _width(r12)
     )

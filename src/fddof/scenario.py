@@ -176,6 +176,10 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         name.encode("utf-8")  # the report prints it
     except UnicodeEncodeError:
         raise SchemaError("name", "not valid Unicode text") from None
+    # Unicode category Cc (C0 controls, DEL, C1 controls): a newline in a
+    # name could print a report line of its own, such as a forged RESULT
+    if any(c < " " or "\x7f" <= c <= "\x9f" for c in name):
+        raise SchemaError("name", "contains a control character")
 
     length_values = _section(data, "lengths", _LENGTH_KEYS, _rational)
     sets = _section(data, "intervals", _INTERVAL_KEYS, _direction_set)

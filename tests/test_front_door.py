@@ -200,6 +200,8 @@ def run_main(text: str, argv: list[str]) -> int:
          argv=["compare", SCENARIO, "--svg", DIRECTORY])
 @example(text=with_node(SYMMETRIC, ("name",), '"\\ud800"'),
          argv=["region", SCENARIO])
+@example(text=with_node(SYMMETRIC, ("name",), '"x\\nRESULT: PASS"'),
+         argv=["verify", SCENARIO, "--seeds", "1", "--auto-rescale"])
 @example(text=with_node(SYMMETRIC, ("intervals", "t11"),
                         "[" * 100_000 + "]" * 100_000),
          argv=["region", SCENARIO])

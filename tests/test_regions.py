@@ -1,6 +1,7 @@
 """Unit and property tests for the region and corner-point formulas."""
 
 import copy
+import math
 import pickle
 import sys
 import threading
@@ -34,6 +35,7 @@ from fddof import (
     region_from_caps,
     region_relate,
 )
+from fddof.regions import _integer_form
 from geom_helpers import (
     EMPTY,
     GRID,
@@ -87,6 +89,12 @@ class TestLinkProducts:
 
     def test_cache_is_bounded(self):
         assert link_products.cache_info().maxsize == 128
+
+    def test_the_oracle_plan_cache_has_the_same_bound(self):
+        # oracle.MAX_SPACE_DIM's memory bound counts 128 plans
+        from fddof.oracle import _plan
+
+        assert _plan.cache_info().maxsize == 128
 
     @pytest.mark.parametrize("corpus", [
         binding_geometry_set,
@@ -306,6 +314,45 @@ class TestGeometryKey:
         assert g.__eq__(g.lengths) is NotImplemented
         assert g.__eq__(None) is NotImplemented
         assert g != g.lengths and g != g.t11
+
+
+# -- the geometry's integer form ------------------------------------------------
+
+class TestIntegerForm:
+    @given(geometry_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_geometries_are_equal_exactly_when_their_forms_are(self, pair):
+        g1, g2 = pair
+        expected = field_by_field(g1, g2)
+        assert (_integer_form(g1) == _integer_form(g2)) is expected
+        assert (g1 == g2) is expected
+
+    @given(st.one_of(geometry_pairs().map(lambda pair: pair[0]),
+                     mixed_geometries()))
+    @example(TOUCHING)
+    @example(EMPTY)
+    @settings(max_examples=200, deadline=None)
+    def test_the_form_is_least_and_gives_back_every_fraction(self, g):
+        form = _integer_form(g)
+        den, scale, sets, lengths = form
+        six = (g.t11, g.r11, g.t22, g.r22, g.t12, g.r12)
+        L = g.lengths
+        fractions = (L.l_t1, L.l_r1, L.l_t2, L.l_r2)
+        endpoints = [x for ds in six for iv in ds.intervals for x in iv]
+        assert den == math.lcm(*(x.denominator for x in endpoints))
+        assert scale == math.lcm(*(x.denominator for x in fractions))
+        assert len(sets) == 6 and len(lengths) == 4
+        for pairs, ds in zip(sets, six):
+            assert tuple((F(lo, den), F(hi, den)) for lo, hi in pairs) == (
+                ds.intervals
+            )
+        assert tuple(F(x, scale) for x in lengths) == fractions
+        # only tuples of ints, so it hashes, and the hash is the form's
+        assert all(type(x) is int
+                   for pairs in sets for pair in pairs for x in pair)
+        assert all(type(x) is int for x in (den, scale, *lengths))
+        assert hash(g) == hash(form)
+        assert link_products(g).k == den * scale
 
 
 # -- caps ----------------------------------------------------------------------

@@ -440,6 +440,36 @@ class TestExitCodes:
         assert main(["region", write_raw(tmp_path, data, '"\\ud800"')]) == 3
         assert "name" in capsys.readouterr().err
 
+    def test_name_with_a_newline_is_3_before_any_output(self, tmp_path,
+                                                        capsys):
+        # the name would otherwise print a RESULT line of its own
+        data = base_scenario_dict()
+        data["name"] = "x\nRESULT: PASS"
+        with pytest.raises(SchemaError, match="control character"):
+            parse_scenario(data)
+        path = write_json(tmp_path, data)
+        assert main(["verify", path, "--auto-rescale", "--seeds", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "name" in err
+
+    def test_names_are_refused_exactly_on_category_cc(self):
+        import unicodedata
+
+        data = base_scenario_dict()
+        for code in range(0x200):
+            data["name"] = f"a{chr(code)}b"
+            if unicodedata.category(chr(code)) == "Cc":
+                with pytest.raises(SchemaError):
+                    parse_scenario(data)
+            else:
+                assert parse_scenario(data).name == data["name"]
+
+    def test_file_stem_with_a_control_character_is_3(self, tmp_path):
+        data = base_scenario_dict()
+        del data["name"]
+        with pytest.raises(SchemaError, match="name"):
+            load_scenario(write_json(tmp_path, data, "a\x1b[2Jb.json"))
+
     @pytest.mark.parametrize(
         "command, option",
         [("region", "--csv"), ("region", "--svg"), ("compare", "--svg"),
@@ -706,6 +736,26 @@ def test_module_entry_point_runs_main(capsys):
     assert (missing.returncode, missing.stderr) == (
         2, "error: file not found: /nonexistent/scenario.json\n"
     )
+
+
+def test_entry_point_escapes_what_the_terminal_cannot_encode(tmp_path):
+    """On an ASCII terminal, ``cli.run`` prints a non-ASCII scenario name
+    with backslash escapes instead of dying with a traceback."""
+    data = base_scenario_dict()
+    data["name"] = "na\u00efve-\u540d"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "fddof.cli", "region", str(path)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"scenario: na\\xefve-\\u540d\n")
 
 
 # -- helpers ------------------------------------------------------------------------
