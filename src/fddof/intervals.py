@@ -28,7 +28,9 @@ class MalformedIntervalError(ValueError):
 
 
 def _frac(value: Rational) -> Fraction:
-    return Fraction(value)
+    # a Fraction is immutable, so it is returned as it is; anything else,
+    # a subclass included, becomes a plain Fraction
+    return value if type(value) is Fraction else Fraction(value)
 
 
 # Exact cosines at the handful of grid angles (in degrees) that show up in

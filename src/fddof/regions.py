@@ -9,10 +9,12 @@ model are genuinely non-integer and are never rounded.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .intervals import (
@@ -22,6 +24,9 @@ from .intervals import (
     _frac,
     scaled_endpoints,
 )
+
+
+_ZERO = Fraction(0)
 
 
 class DegenerateGeometryError(ValueError):
@@ -129,13 +134,16 @@ class ScatteringGeometry:
 
 @dataclass(frozen=True)
 class CornerPoints:
-    """The two corner points bracketing the sum-constraint facet."""
+    """The two corner points bracketing the sum facet; checked as DofRegion."""
 
     p_prime: tuple[Fraction, Fraction]
     p_double_prime: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        (d1p, d2p), (d1pp, d2pp) = self.p_prime, self.p_double_prime
+        corners = self.p_prime, self.p_double_prime
+        with suppress(AttributeError):  # a float, say, is compared as given
+            _, [corners] = scaled_endpoints([corners])
+        (d1p, d2p), (d1pp, d2pp) = corners
         if min(d1p, d2p, d1pp, d2pp) < 0:
             raise ValueError("corner coordinates must be nonnegative")
         if d1p < d1pp or d2p > d2pp:
@@ -151,6 +159,9 @@ class DofRegion:
     plotting and exact polygon comparison use.  The half-duplex triangle
     with unequal axis caps is not cap-form, so its dsum_cap records the
     largest vertex coordinate sum instead.
+
+    The checks compare exact values (ints, Fractions) as integers over
+    one denominator, and anything else (a float, say) as given.
     """
 
     d1_cap: Fraction
@@ -159,11 +170,16 @@ class DofRegion:
     vertices: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        for x, y in self.vertices:
-            if x < 0 or y < 0 or x > self.d1_cap or y > self.d2_cap:
-                raise ValueError(f"vertex ({x}, {y}) violates the caps")
-            if x + y > self.dsum_cap:
-                raise ValueError(f"vertex ({x}, {y}) violates the sum cap")
+        caps = (self.d1_cap, self.d2_cap), (self.dsum_cap, 0)
+        verts = self.vertices
+        with suppress(AttributeError):  # a float, say, is compared as given
+            _, [caps, verts] = scaled_endpoints([caps, verts])
+        (d1, d2), (ds, _) = caps
+        for (x, y), (vx, vy) in zip(verts, self.vertices):
+            if x < 0 or y < 0 or x > d1 or y > d2:
+                raise ValueError(f"vertex ({vx}, {vy}) violates the caps")
+            if x + y > ds:
+                raise ValueError(f"vertex ({vx}, {vy}) violates the sum cap")
 
     def contains(self, point: tuple[Rational, Rational]) -> bool:
         """Exact membership test on the convex hull of the vertices."""
@@ -312,19 +328,24 @@ def link_products(g: ScatteringGeometry) -> LinkProducts:
     )
 
 
+@lru_cache(maxsize=128)
+def _caps(g: ScatteringGeometry) -> tuple:
+    """``(k, caps, fracs)``: the caps of ``fd_caps`` as integers over k and
+    as Fractions.  The one cap formula, cached like the link products."""
+    k, a, b, c, d, e, f, p, _, r, _, _, _ = link_products(g)
+    caps = (2 * min(a, b), 2 * min(c, d), 2 * (p + r + max(e, f)))
+    return k, caps, tuple(Fraction(x, k) for x in caps)
+
+
 def fd_caps(g: ScatteringGeometry) -> tuple[Fraction, Fraction, Fraction]:
     """Per-flow and sum dimension caps of the full-duplex region.
 
     Each flow is capped by the smaller end of its own link; the sum is
     capped by the interference-free slack on both base-station arrays plus
-    the larger of the two backscatter loads.
+    the larger of the two backscatter loads.  Cached, with their integer
+    form, for the last 128 geometries (``_caps``).
     """
-    k, a, b, c, d, e, f, p, _, r, _, _, _ = link_products(g)
-    return (
-        Fraction(2 * min(a, b), k),
-        Fraction(2 * min(c, d), k),
-        Fraction(2 * (p + r + max(e, f)), k),
-    )
+    return _caps(g)[2]
 
 
 def cap_corners(caps: tuple[Fraction, Fraction, Fraction]) -> CornerPoints:
@@ -336,10 +357,9 @@ def cap_corners(caps: tuple[Fraction, Fraction, Fraction]) -> CornerPoints:
     identity.
     """
     d1_max, d2_max, dsum_max = caps
-    zero = Fraction(0)
     return CornerPoints(
-        (d1_max, min(max(dsum_max - d1_max, zero), d2_max)),
-        (min(max(dsum_max - d2_max, zero), d1_max), d2_max),
+        (d1_max, min(max(dsum_max - d1_max, _ZERO), d2_max)),
+        (min(max(dsum_max - d2_max, _ZERO), d1_max), d2_max),
     )
 
 
@@ -377,35 +397,46 @@ def corner_points(g: ScatteringGeometry) -> CornerPoints:
     )
 
 
+def _cap_region(k: int, caps: tuple, exact: tuple) -> DofRegion:
+    """The cap polygon of integer caps over ``k``; ``exact`` holds them as
+    Fractions, and only a corner on the sum facet builds a new one."""
+    d1, d2, ds = caps
+    if ds < max(d1, d2):
+        raise ValueError("sum cap below an individual cap")
+    value = {0: _ZERO, d1: exact[0], d2: exact[1]}
+    verts = [(0, 0)]
+    if d1 > 0:
+        verts.append((d1, 0))
+    if ds < d1 + d2:
+        value[ds - d1] = Fraction(ds - d1, k)
+        value[ds - d2] = Fraction(ds - d2, k)
+        for vert in ((d1, ds - d1), (ds - d2, d2)):
+            if vert != verts[-1]:
+                verts.append(vert)
+    elif d1 > 0 and d2 > 0:
+        verts.append((d1, d2))
+    if d2 > 0 and (0, d2) != verts[-1]:
+        verts.append((0, d2))
+    return DofRegion(*exact, tuple((value[x], value[y]) for x, y in verts))
+
+
 def region_from_caps(
     d1_cap: Rational, d2_cap: Rational, dsum_cap: Rational
 ) -> DofRegion:
     """Polygon of {(d1, d2) >= 0 : d1 <= d1_cap, d2 <= d2_cap, sum <= dsum_cap}.
 
     Requires dsum_cap >= max(d1_cap, d2_cap), which every geometry-derived
-    cap triple satisfies.
+    cap triple satisfies.  Built on the caps as integers over one
+    denominator, by the rule ``fd_region`` uses.
     """
-    d1c, d2c, dsc = _frac(d1_cap), _frac(d2_cap), _frac(dsum_cap)
-    if dsc < max(d1c, d2c):
-        raise ValueError("sum cap below an individual cap")
-    zero = Fraction(0)
-    verts: list[tuple[Fraction, Fraction]] = [(zero, zero)]
-    if d1c > 0:
-        verts.append((d1c, zero))
-    if dsc < d1c + d2c:
-        for vert in ((d1c, dsc - d1c), (dsc - d2c, d2c)):
-            if vert != verts[-1]:
-                verts.append(vert)
-    elif d1c > 0 and d2c > 0:
-        verts.append((d1c, d2c))
-    if d2c > 0 and (zero, d2c) != verts[-1]:
-        verts.append((zero, d2c))
-    return DofRegion(d1c, d2c, dsc, tuple(verts))
+    exact = (_frac(d1_cap), _frac(d2_cap), _frac(dsum_cap))
+    den, [[(d1, d2), (ds, _)]] = scaled_endpoints([[exact[:2], (exact[2], 0)]])
+    return _cap_region(den, (d1, d2, ds), exact)
 
 
 def fd_region(g: ScatteringGeometry) -> DofRegion:
     """Full-duplex region: the cap polygon of fd_caps."""
-    return region_from_caps(*fd_caps(g))
+    return _cap_region(*_caps(g))
 
 
 def hd_region(g: ScatteringGeometry) -> DofRegion:
@@ -415,14 +446,13 @@ def hd_region(g: ScatteringGeometry) -> DofRegion:
     triangle on the two per-flow caps of fd_caps; there is no
     self-interference, so only the point-to-point caps matter.
     """
-    d1c, d2c, _ = fd_caps(g)
-    zero = Fraction(0)
-    verts: list[tuple[Fraction, Fraction]] = [(zero, zero)]
-    if d1c > 0:
-        verts.append((d1c, zero))
-    if d2c > 0:
-        verts.append((zero, d2c))
-    return DofRegion(d1c, d2c, max(d1c, d2c), tuple(verts))
+    _, (d1, d2, _), (d1c, d2c, _) = _caps(g)
+    verts = [(_ZERO, _ZERO)]
+    if d1 > 0:
+        verts.append((d1c, _ZERO))
+    if d2 > 0:
+        verts.append((_ZERO, d2c))
+    return DofRegion(d1c, d2c, d1c if d1 >= d2 else d2c, tuple(verts))
 
 
 def region_relate(a: DofRegion, b: DofRegion) -> RegionRelation:
@@ -445,8 +475,8 @@ def region_relate(a: DofRegion, b: DofRegion) -> RegionRelation:
 
 def is_rectangular(g: ScatteringGeometry) -> bool:
     """True when the sum cap is inactive and the region is a rectangle."""
-    d1_max, d2_max, dsum_max = fd_caps(g)
-    return dsum_max >= d1_max + d2_max
+    _, (d1, d2, ds), _ = _caps(g)
+    return ds >= d1 + d2
 
 
 def genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
@@ -457,9 +487,11 @@ def genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
     enough to pay for the widening, so the larger of the two signaling
     dimensions of the result equals dsum_max of the input.
     """
-    den, (t22, t12, r11, r12) = scaled_endpoints(
-        (g.t22.intervals, g.t12.intervals, g.r11.intervals, g.r12.intervals)
-    )
+    L = g.lengths
+    given = [s.intervals for s in (g.t22, g.t12, g.r11, g.r12)]
+    # the two lengths ride along as one more pair, over the same den
+    den, scaled = scaled_endpoints((*given, [(L.l_t2, L.l_r1)]))
+    t22, t12, r11, r12, [(lt2, lr1)] = scaled
     t_union, r_union = _union(t22, t12), _union(r11, r12)
     if not t_union or not r_union:
         raise DegenerateGeometryError(
@@ -467,12 +499,15 @@ def genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
         )
     # each array pays for the other side's private slack over its own
     # union width: |r11 - r12| = |r11 | r12| - |r12|, and likewise at T2
-    t_width, r_width = _width(t_union), _width(r_union)
-    L = g.lengths
-    l_t2 = L.l_t2 + L.l_r1 * Fraction(r_width - _width(r12), t_width)
-    l_r1 = L.l_r1 + L.l_t2 * Fraction(t_width - _width(t12), r_width)
-    t_set = DirectionSet._from_scaled(t_union, den)
-    r_set = DirectionSet._from_scaled(r_union, den)
+    tw, rw = _width(t_union), _width(r_union)
+    l_t2 = Fraction(lt2 * tw + lr1 * (rw - _width(r12)), den * tw)
+    l_r1 = Fraction(lr1 * rw + lt2 * (tw - _width(t12)), den * rw)
+    # every union endpoint is an input endpoint: reuse its Fraction
+    exact = dict(zip(chain.from_iterable(chain.from_iterable(scaled[:4])),
+                     chain.from_iterable(chain.from_iterable(given))))
+    t_set, r_set = (DirectionSet.__new__(DirectionSet) for _ in range(2))
+    for out, union in ((t_set, t_union), (r_set, r_union)):
+        out.intervals = tuple((exact[lo], exact[hi]) for lo, hi in union)
     return ScatteringGeometry(
         t11=g.t11,
         r11=r_set,

@@ -101,6 +101,41 @@ def reference_link_products(g: ScatteringGeometry) -> tuple[Fraction, ...]:
     )
 
 
+def reference_caps(g: ScatteringGeometry) -> tuple[Fraction, ...]:
+    """``fd_caps`` from the products of ``reference_link_products``."""
+    a, b, c, d, e, f, p, _, r, _, _, _ = reference_link_products(g)
+    return 2 * min(a, b), 2 * min(c, d), 2 * (p + r + max(e, f))
+
+
+def reference_cap_vertices(d1: Fraction, d2: Fraction, ds: Fraction) -> tuple:
+    """The vertices of ``region_from_caps`` by Fraction comparisons."""
+    zero = Fraction(0)
+    verts = [(zero, zero)]
+    if d1 > 0:
+        verts.append((d1, zero))
+    if ds < d1 + d2:
+        for vert in ((d1, ds - d1), (ds - d2, d2)):
+            if vert != verts[-1]:
+                verts.append(vert)
+    elif d1 > 0 and d2 > 0:
+        verts.append((d1, d2))
+    if d2 > 0 and (zero, d2) != verts[-1]:
+        verts.append((zero, d2))
+    return tuple(verts)
+
+
+def reference_hd_region(g: ScatteringGeometry) -> DofRegion:
+    """``hd_region`` from ``reference_caps`` by Fraction comparisons."""
+    d1, d2, _ = reference_caps(g)
+    zero = Fraction(0)
+    verts = [(zero, zero)]
+    if d1 > 0:
+        verts.append((d1, zero))
+    if d2 > 0:
+        verts.append((zero, d2))
+    return DofRegion(d1, d2, max(d1, d2), tuple(verts))
+
+
 def dual(g: ScatteringGeometry) -> ScatteringGeometry:
     """g with the uplink and downlink roles swapped: every transmit end
     becomes the matching receive end (t11<->r22, r11<->t22, t12<->r12) and

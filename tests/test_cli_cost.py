@@ -104,22 +104,26 @@ def test_off_grid_cosine_loads_mpmath_on_first_use(fresh):
     assert fresh["after_cos45"] == ["numpy", "mpmath"]
 
 
-@pytest.mark.parametrize("command,computed", [
+@pytest.mark.parametrize("command,computed,capped", [
     # the parse-time denominator bound; fd_caps, corner_points, fd_region
-    # and is_rectangular read its cached products
-    ("region", 1),
+    # and is_rectangular read its cached products, and all but
+    # corner_points its cached caps
+    pytest.param("region", 1, 1, id="region-1"),
     # likewise, for both polygons
-    ("compare", 1),
+    pytest.param("compare", 1, 1, id="compare-1"),
     # the parse-time bound and one per grid value (five by default); the
-    # half-duplex base equals the parsed geometry
-    ("sweep", 6),
+    # half-duplex base equals the parsed geometry, whose caps only the
+    # half-duplex polygon reads
+    pytest.param("sweep", 6, 6, id="sweep-6"),
 ])
-def test_link_products_once_per_geometry(capsys, command, computed):
+def test_link_products_once_per_geometry(capsys, command, computed, capped):
     regions.link_products.cache_clear()
+    regions._caps.cache_clear()
     path = str(SCENARIOS / "symmetric_overlap_075.json")
     assert cli.main([command, path]) == 0
     capsys.readouterr()
     assert regions.link_products.cache_info().misses == computed
+    assert regions._caps.cache_info().misses == capped
 
 
 def test_verify_allocates_once_for_all_seeds(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Unit and property tests for the direction-set algebra."""
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +16,7 @@ from fddof import (
     cos_degrees,
     refine,
 )
+from fddof.intervals import _frac
 from geom_helpers import direction_sets, ds
 
 GRID = 64
@@ -22,6 +25,35 @@ GRID = 64
 def bitmap(d: DirectionSet):
     """Brute-force rasterization on the 1/GRID cell grid over [-1, 1]."""
     return [(F(2 * j + 1, 2 * GRID) - 1) in d for j in range(2 * GRID)]
+
+
+# -- exact values ---------------------------------------------------------------
+
+class _SubFraction(F):
+    pass
+
+
+class TestFrac:
+    def test_a_fraction_is_returned_as_it_is(self):
+        x = F(3, 7)
+        assert _frac(x) is x
+
+    @pytest.mark.parametrize("value", [
+        3, -2, True, "3/7", " -0.125 ", "1e-3", 0.1, -2.5,
+        Decimal("0.1"), Decimal("-2.5"), _SubFraction(3, 7),
+    ])
+    def test_anything_else_becomes_a_plain_fraction(self, value):
+        out = _frac(value)
+        assert type(out) is F
+        assert out == F(value)
+        assert out is not value
+
+    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), None])
+    def test_refusals_are_those_of_fraction(self, value):
+        with pytest.raises((ValueError, OverflowError, TypeError)) as got:
+            _frac(value)
+        with pytest.raises(type(got.value), match=re.escape(str(got.value))):
+            F(value)
 
 
 # -- construction -------------------------------------------------------------

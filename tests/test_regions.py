@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 import threading
 import time
@@ -35,7 +36,7 @@ from fddof import (
     region_from_caps,
     region_relate,
 )
-from fddof.regions import _integer_form
+from fddof.regions import _caps, _corner, _integer_form
 from geom_helpers import (
     EMPTY,
     GRID,
@@ -46,10 +47,13 @@ from geom_helpers import (
     ds,
     dual,
     fraction_endpoints,
+    reference_cap_vertices,
+    reference_caps,
     lengths_st,
     mixed_geometries,
     reference_contains,
     reference_genie_expand,
+    reference_hd_region,
     reference_link_products,
     reference_region_relate,
     symmetric_overlap,
@@ -95,6 +99,9 @@ class TestLinkProducts:
         from fddof.oracle import _plan
 
         assert _plan.cache_info().maxsize == 128
+
+    def test_the_caps_cache_has_the_same_bound(self):
+        assert _caps.cache_info().maxsize == 128
 
     @pytest.mark.parametrize("corpus", [
         binding_geometry_set,
@@ -358,6 +365,38 @@ class TestIntegerForm:
 # -- caps ----------------------------------------------------------------------
 
 class TestCaps:
+    @pytest.mark.parametrize(
+        "p_prime,p_double_prime,message",
+        [
+            ((2, -1), (1, 2), "corner coordinates must be nonnegative"),
+            ((F(-1, 3), 0), (0, 1), "corner coordinates must be nonnegative"),
+            ((F(1, 3), 1), (F(1, 2), 2),
+             "corners do not bracket the sum facet"),
+            ((F(2, 3), F(5, 7)), (F(1, 3), F(4, 7)),
+             "corners do not bracket the sum facet"),
+        ],
+    )
+    def test_exact_refusals_keep_their_messages(self, p_prime,
+                                                p_double_prime, message):
+        with pytest.raises(ValueError) as info:
+            CornerPoints(p_prime, p_double_prime)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("corners", [
+        ((2, 1), (1, 2)),
+        ((F(2, 3), F(1, 7)), (F(1, 3), F(5, 7))),
+        ((F(1, 3), 0), (F(1, 3), 0)),  # one corner, on the axis
+    ])
+    def test_exact_corners_on_the_boundary_are_accepted(self, corners):
+        assert CornerPoints(*corners).p_prime == corners[0]
+
+    def test_float_corners_are_compared_as_given(self):
+        assert CornerPoints((2.0, 1.0), (1.0, 2.0)).p_prime == (2.0, 1.0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            CornerPoints((2.0, -1.0), (1.0, 2.0))
+        with pytest.raises(ValueError, match="do not bracket"):
+            CornerPoints((1.0, F(1, 3)), (1.5, 2))
+
     def test_symmetric_unit_overlap_three_quarters(self):
         g = symmetric_overlap(1, F(3, 4))
         assert fd_caps(g) == (2, 2, 3)
@@ -525,6 +564,44 @@ class TestRegions:
         with pytest.raises(ValueError, match=f"vertex .* {message}"):
             DofRegion(F(2), F(2), F(3), vertices)
 
+    @pytest.mark.parametrize(
+        "caps,vertex,message",
+        [
+            ((2, 2, 3), (F(5, 2), 0), "vertex (5/2, 0) violates the caps"),
+            ((2, 2, 3), (-1, 0), "vertex (-1, 0) violates the caps"),
+            ((2, 2, 3), (0, 3), "vertex (0, 3) violates the caps"),
+            ((2, 2, 3), (2, 2), "vertex (2, 2) violates the sum cap"),
+            ((F(2, 3), F(5, 7), 1), (F(5, 7), 0),
+             "vertex (5/7, 0) violates the caps"),
+            ((F(2, 3), F(5, 7), 1), (0, F(-1, 3)),
+             "vertex (0, -1/3) violates the caps"),
+            ((F(2, 3), F(5, 7), 1), (F(2, 3), F(10, 21)),
+             "vertex (2/3, 10/21) violates the sum cap"),
+        ],
+    )
+    def test_exact_refusals_name_the_vertex_as_given(self, caps, vertex,
+                                                      message):
+        with pytest.raises(ValueError) as info:
+            DofRegion(*caps, ((F(0), F(0)), vertex))
+        assert str(info.value) == message
+
+    def test_exact_vertices_on_the_caps_are_accepted(self):
+        verts = ((0, 0), (F(2, 3), 0), (F(2, 3), F(1, 3)),
+                 (F(2, 7), F(5, 7)), (0, F(5, 7)))
+        assert DofRegion(F(2, 3), F(5, 7), 1, verts).vertices == verts
+
+    def test_float_vertices_are_compared_as_given(self):
+        region = DofRegion(2.0, 2.0, 3.0, ((0.0, 0.0), (1.5, 1.5)))
+        assert region.vertices[1] == (1.5, 1.5)
+        with pytest.raises(ValueError, match=re.escape(
+            "vertex (2.5, 0.0) violates the caps"
+        )):
+            DofRegion(2.0, 2.0, 3.0, ((2.5, 0.0),))
+        with pytest.raises(ValueError, match=re.escape(
+            "vertex (1.5, 2) violates the sum cap"
+        )):
+            DofRegion(F(2), 2, 3.0, ((1.5, 2),))
+
     def test_pentagon_area(self):
         region = fd_region(symmetric_overlap(1, F(3, 4)))
         assert region.area() == F(7, 2)
@@ -550,6 +627,67 @@ class TestRegions:
             assert 0 <= x <= d1_max
             assert 0 <= y <= d2_max
             assert x + y <= dsum_max
+
+
+# -- integer closed forms against the Fraction reference --------------------------
+
+def assert_closed_forms_match_reference(g):
+    caps = reference_caps(g)
+    assert fd_caps(g) == caps
+    assert all(type(x) is F for x in fd_caps(g))
+    fd = fd_region(g)
+    assert fd == DofRegion(*caps, reference_cap_vertices(*caps))
+    assert all(type(x) is F for vertex in fd.vertices for x in vertex)
+    assert region_from_caps(*fd_caps(g)) == fd
+    hd = hd_region(g)
+    assert hd == reference_hd_region(g)
+    assert all(type(x) is F for vertex in hd.vertices for x in vertex)
+    d1, d2, dsum = caps
+    assert is_rectangular(g) is (dsum >= d1 + d2)
+    a, b, c, d, e, f, p, q, r, s, u, v = reference_link_products(g)
+    assert corner_points(g) == CornerPoints(
+        _corner(a, b, d, e, f, p, q, r, u),
+        _corner(d, c, a, f, e, r, s, p, v)[::-1],
+    )
+    try:
+        want = reference_genie_expand(g)
+    except DegenerateGeometryError:
+        with pytest.raises(DegenerateGeometryError):
+            genie_expand(g)
+    else:
+        assert genie_expand(g) == want
+
+
+class TestIntegerClosedFormsAgainstReference:
+    @pytest.mark.parametrize("corpus", [
+        binding_geometry_set,
+        # every fifth geometry of the criterion-2 set, as above
+        lambda: criterion_2_geometries()[::5],
+    ], ids=["binding", "random"])
+    def test_fixed_corpora(self, corpus):
+        for g in corpus():
+            assert_closed_forms_match_reference(g)
+
+    @given(mixed_geometries())
+    @example(TOUCHING)
+    @example(EMPTY)
+    @example(make_fully_spread(0, 0))
+    @settings(deadline=None)
+    def test_mixed_geometries(self, g):
+        assert_closed_forms_match_reference(g)
+
+    @given(
+        st.fractions(0, 8, max_denominator=30),
+        st.fractions(0, 8, max_denominator=30),
+        st.fractions(0, 8, max_denominator=30),
+    )
+    def test_region_from_caps_equals_the_reference(self, d1, d2, extra):
+        dsum = max(d1, d2) + extra
+        region = region_from_caps(d1, d2, dsum)
+        assert region == DofRegion(
+            d1, d2, dsum, reference_cap_vertices(d1, d2, dsum)
+        )
+        assert all(type(x) is F for vertex in region.vertices for x in vertex)
 
 
 # -- relations -------------------------------------------------------------------
