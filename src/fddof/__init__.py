@@ -56,7 +56,6 @@ from .regions import (
     region_relate,
 )
 from .scenario import (
-    OracleSettings,
     Scenario,
     SchemaError,
     load_scenario,
@@ -79,7 +78,6 @@ __all__ = [
     "LinkProducts",
     "MalformedIntervalError",
     "OperatorDimReport",
-    "OracleSettings",
     "QuantizationError",
     "RankToleranceWarning",
     "RegionRelation",

@@ -244,8 +244,8 @@ def cmd_verify(args) -> int:
         g, scale = integer_rescale(g)
         print(f"auto-rescale: x{scale}")
     _plan(g)  # refuses over-budget, then non-integral, before the report
-    seeds = args.seeds if args.seeds is not None else scn.oracle.seeds
-    rank_tol = args.rank_tol if args.rank_tol is not None else scn.oracle.rank_tol
+    seeds = args.seeds if args.seeds is not None else scn.seeds
+    rank_tol = args.rank_tol if args.rank_tol is not None else scn.rank_tol
     print(f"seeds: {seeds}   rank_tol: {rank_tol:g}")
 
     d1_max, d2_max, dsum_max = fd_caps(g)

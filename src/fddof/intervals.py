@@ -67,6 +67,19 @@ def cos_degrees(angle: Rational, digits: int = 12) -> Fraction:
     return min(max(approx, LOWER), UPPER)
 
 
+def _merge(pairs: Iterable[tuple]) -> list[tuple]:
+    """Pairs (lo, hi) with lo < hi in canonical form: sorted, with
+    overlapping or touching pairs merged.  Exact on Fractions or ints."""
+    merged: list[tuple] = []
+    for lo, hi in sorted(pairs):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 class DirectionSet:
     """Canonical finite union of disjoint half-open intervals [lo, hi).
 
@@ -90,15 +103,7 @@ class DirectionSet:
             if lo < LOWER or hi > UPPER:
                 raise DomainError(f"interval [{lo}, {hi}) leaves [-1, 1]")
             cleaned.append((lo, hi))
-        cleaned.sort()
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in cleaned:
-            if merged and lo <= merged[-1][1]:
-                last_lo, last_hi = merged[-1]
-                merged[-1] = (last_lo, max(last_hi, hi))
-            else:
-                merged.append((lo, hi))
-        self.intervals: tuple[tuple[Fraction, Fraction], ...] = tuple(merged)
+        self.intervals = tuple(_merge(cleaned))
 
     @classmethod
     def _from_scaled(

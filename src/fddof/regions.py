@@ -22,6 +22,7 @@ from .intervals import (
     DomainError,
     Rational,
     _frac,
+    _merge,
     scaled_endpoints,
 )
 
@@ -271,21 +272,6 @@ def _overlap(x: list[tuple[int, int]], y: list[tuple[int, int]]) -> int:
     return total
 
 
-def _union(
-    x: list[tuple[int, int]], y: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Union of two sorted disjoint interval lists, in canonical form:
-    sorted, with overlapping or touching intervals merged."""
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(x + y):
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
 @lru_cache(maxsize=128)
 def link_products(g: ScatteringGeometry) -> LinkProducts:
     """The twelve link products every closed form is built from.
@@ -492,7 +478,7 @@ def genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
     # the two lengths ride along as one more pair, over the same den
     den, scaled = scaled_endpoints((*given, [(L.l_t2, L.l_r1)]))
     t22, t12, r11, r12, [(lt2, lr1)] = scaled
-    t_union, r_union = _union(t22, t12), _union(r11, r12)
+    t_union, r_union = _merge(t22 + t12), _merge(r11 + r12)
     if not t_union or not r_union:
         raise DegenerateGeometryError(
             "expansion needs nonzero-measure scattering unions on both sides"
@@ -523,7 +509,6 @@ def make_symmetric(
     length: Rational, fwd: DirectionSet, back: DirectionSet
 ) -> ScatteringGeometry:
     """All four arrays of one half-length; forward/backscatter supports shared."""
-    l = _frac(length)
     return ScatteringGeometry(
         t11=fwd,
         r11=fwd,
@@ -531,14 +516,13 @@ def make_symmetric(
         r22=fwd,
         t12=back,
         r12=back,
-        lengths=ArrayHalfLengths(l, l, l, l),
+        lengths=ArrayHalfLengths(length, length, length, length),
     )
 
 
 def make_fully_spread(l_bs: Rational, l_usr: Rational) -> ScatteringGeometry:
     """Scatterers everywhere: every support is all of [-1, 1]."""
     full = DirectionSet.full()
-    bs, usr = _frac(l_bs), _frac(l_usr)
     return ScatteringGeometry(
         t11=full,
         r11=full,
@@ -546,5 +530,5 @@ def make_fully_spread(l_bs: Rational, l_usr: Rational) -> ScatteringGeometry:
         r22=full,
         t12=full,
         r12=full,
-        lengths=ArrayHalfLengths(usr, bs, bs, usr),
+        lengths=ArrayHalfLengths(l_usr, l_bs, l_bs, l_usr),
     )

@@ -59,16 +59,15 @@ class SchemaError(ValueError):
 
 
 @dataclass(frozen=True)
-class OracleSettings:
-    seeds: int = DEFAULT_SEEDS
-    rank_tol: float = DEFAULT_RANK_TOL
-
-
-@dataclass(frozen=True)
 class Scenario:
+    """A named geometry with its oracle run settings: ``seeds`` and
+    ``rank_tol`` are the file's ``oracle`` block, each defaulted when
+    absent, and ``verify --seeds`` and ``--rank-tol`` override them."""
+
     name: str
     geometry: ScatteringGeometry
-    oracle: OracleSettings = OracleSettings()
+    seeds: int = DEFAULT_SEEDS
+    rank_tol: float = DEFAULT_RANK_TOL
 
 
 def _literal(value: str | int | Decimal) -> Fraction:
@@ -155,13 +154,11 @@ def _direction_set(value: Any, path: str) -> DirectionSet:
         if "angles_deg" not in value:
             raise SchemaError(path, "interval object needs 'angles_deg'")
         pairs = _pair_list(value["angles_deg"], f"{path}.angles_deg")
-        try:
-            return DirectionSet.from_angles(pairs)
-        except (DomainError, MalformedIntervalError) as err:
-            raise type(err)(f"{path}: {err}") from None
-    pairs = _pair_list(value, path)
+        build = DirectionSet.from_angles
+    else:
+        pairs, build = _pair_list(value, path), DirectionSet
     try:
-        return DirectionSet(pairs)
+        return build(pairs)
     except (DomainError, MalformedIntervalError) as err:
         raise type(err)(f"{path}: {err}") from None
 
@@ -184,16 +181,16 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     length_values = _section(data, "lengths", _LENGTH_KEYS, _rational)
     sets = _section(data, "intervals", _INTERVAL_KEYS, _direction_set)
 
-    oracle = OracleSettings()
+    seeds, rank_tol = DEFAULT_SEEDS, DEFAULT_RANK_TOL
     if "oracle" in data:
         block = _object(data["oracle"], "oracle", ("seeds", "rank_tol"))
-        seeds = block.get("seeds", DEFAULT_SEEDS)
+        seeds = block.get("seeds", seeds)
         if (not isinstance(seeds, int) or isinstance(seeds, bool)
                 or not 1 <= seeds <= MAX_SEEDS):
             raise SchemaError(
                 "oracle.seeds", f"expected an integer from 1 to {MAX_SEEDS}"
             )
-        rank_tol = block.get("rank_tol", DEFAULT_RANK_TOL)
+        rank_tol = block.get("rank_tol", rank_tol)
         if isinstance(rank_tol, bool) or not isinstance(
             rank_tol, (int, float, Fraction, Decimal)
         ):
@@ -206,7 +203,6 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
             raise SchemaError(
                 "oracle.rank_tol", "expected a finite positive number"
             )
-        oracle = OracleSettings(seeds=seeds, rank_tol=rank_tol)
 
     try:
         half_lengths = ArrayHalfLengths(**length_values)
@@ -231,7 +227,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
             "lengths and endpoints need a common denominator of more than "
             f"{_MAX_DENOMINATOR_BITS} bits",
         )
-    return Scenario(name=name, geometry=geometry, oracle=oracle)
+    return Scenario(name, geometry, seeds, rank_tol)
 
 
 def _json_int(text: str) -> int | Decimal:

@@ -476,7 +476,16 @@ def direction_sets(draw, max_fragments=3, grid=GRID):
 lengths_st = st.integers(0, 4 * GRID).map(lambda n: Fraction(n, GRID))
 
 
-_angles = st.fractions(0, 180, max_denominator=7)
+@st.composite
+def fractions_st(draw, lo: int, hi: int, max_denominator: int):
+    """The values of ``st.fractions(lo, hi, max_denominator=...)`` on
+    integer bounds, drawn as a denominator and then a numerator, at a
+    fraction of the cost of hypothesis's strategy."""
+    den = draw(st.integers(1, max_denominator))
+    return Fraction(draw(st.integers(lo * den, hi * den)), den)
+
+
+_angles = fractions_st(0, 180, max_denominator=7)
 _angle_pairs = st.lists(st.tuples(_angles, _angles), max_size=3)
 
 
@@ -488,7 +497,7 @@ def angle_sets(draw):
 
 
 _fine_points = st.lists(
-    st.fractions(-1, 1, max_denominator=1000), max_size=6, unique=True
+    fractions_st(-1, 1, max_denominator=1000), max_size=6, unique=True
 )
 
 
@@ -501,7 +510,7 @@ def fine_sets(draw):
 
 _mixed_sets = st.one_of(direction_sets(), angle_sets(), fine_sets())
 _mixed_lengths = st.one_of(
-    lengths_st, st.just(Fraction(0)), st.fractions(0, 8, max_denominator=99)
+    lengths_st, st.just(Fraction(0)), fractions_st(0, 8, max_denominator=99)
 )
 
 

@@ -47,6 +47,7 @@ from geom_helpers import (
     ds,
     dual,
     fraction_endpoints,
+    fractions_st,
     reference_cap_vertices,
     reference_caps,
     lengths_st,
@@ -677,9 +678,9 @@ class TestIntegerClosedFormsAgainstReference:
         assert_closed_forms_match_reference(g)
 
     @given(
-        st.fractions(0, 8, max_denominator=30),
-        st.fractions(0, 8, max_denominator=30),
-        st.fractions(0, 8, max_denominator=30),
+        fractions_st(0, 8, max_denominator=30),
+        fractions_st(0, 8, max_denominator=30),
+        fractions_st(0, 8, max_denominator=30),
     )
     def test_region_from_caps_equals_the_reference(self, d1, d2, extra):
         dsum = max(d1, d2) + extra
@@ -720,7 +721,7 @@ class TestRelations:
 
 # -- integer region comparison against the Fraction reference ---------------------
 
-caps_st = st.one_of(st.just(F(0)), st.fractions(0, 8, max_denominator=12))
+caps_st = st.one_of(st.just(F(0)), fractions_st(0, 8, max_denominator=12))
 
 
 @st.composite

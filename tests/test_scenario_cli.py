@@ -94,7 +94,7 @@ class TestScenarioFiles:
         scn = load_scenario(SYMMETRIC)
         assert scn.name == "symmetric-overlap-075"
         assert fd_caps(scn.geometry) == (2, 2, 3)
-        assert scn.oracle.seeds == 20
+        assert scn.seeds == 20
 
     def test_decimal_numbers_parse_exactly(self, tmp_path):
         data = base_scenario_dict()
@@ -708,6 +708,54 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "outside the construction's case conditions" in out
+
+
+# -- run settings: file, defaults and flags -------------------------------------
+
+class TestRunSettings:
+    @staticmethod
+    def run_verify(tmp_path, capsys, oracle=None, options=()):
+        """verify on the empty-backscatter scenario, with ``oracle`` as its
+        file's oracle block; returns the settings line and the seed rows."""
+        data = json.loads(Path(EMPTY_BACK).read_text(encoding="utf-8"))
+        if oracle is not None:
+            data["oracle"] = oracle
+        assert main(["verify", write_json(tmp_path, data), *options]) == 0
+        out = capsys.readouterr().out
+        settings = [line for line in out.splitlines()
+                    if line.startswith("seeds:")]
+        return settings, re.findall(r"^ +\d+  ok ", out, re.M)
+
+    def test_file_settings_are_printed_and_used(self, tmp_path, capsys):
+        settings, rows = self.run_verify(
+            tmp_path, capsys, {"seeds": 3, "rank_tol": 1e-6}
+        )
+        assert settings == ["seeds: 3   rank_tol: 1e-06"]
+        assert len(rows) == 3
+
+    def test_flags_override_the_file(self, tmp_path, capsys):
+        settings, rows = self.run_verify(
+            tmp_path, capsys, {"seeds": 3, "rank_tol": 1e-6},
+            ["--seeds", "2", "--rank-tol", "1e-7"],
+        )
+        assert settings == ["seeds: 2   rank_tol: 1e-07"]
+        assert len(rows) == 2
+
+    def test_defaults_without_an_oracle_block(self, tmp_path, capsys):
+        settings, rows = self.run_verify(tmp_path, capsys)
+        assert settings == ["seeds: 20   rank_tol: 1e-09"]
+        assert len(rows) == 20
+
+    def test_fraction_values_parse_as_their_strings(self):
+        text = base_scenario_dict()
+        exact = base_scenario_dict()
+        exact["lengths"] = {key: F(value) for key, value
+                            in text["lengths"].items()}
+        exact["intervals"] = {
+            key: [[F(lo), F(hi)] for lo, hi in pairs]
+            for key, pairs in text["intervals"].items()
+        }
+        assert parse_scenario(exact) == parse_scenario(text)
 
 
 # -- console entry point ------------------------------------------------------------
