@@ -16,14 +16,10 @@ from .intervals import (
     refine,
 )
 from .oracle import (
-    BasisAllocation,
     DimensionBudgetError,
     DiscretizedChannel,
-    DimCheck,
-    OperatorDimReport,
     QuantizationError,
     RankToleranceWarning,
-    SpaceAllocation,
     ZeroForcingResult,
     allocate_basis,
     corrupt_support,
@@ -40,7 +36,6 @@ from .regions import (
     DegenerateGeometryError,
     DofRegion,
     RegionRelation,
-    LinkProducts,
     ScatteringGeometry,
     cap_corners,
     corner_points,
@@ -52,7 +47,6 @@ from .regions import (
     link_products,
     make_fully_spread,
     make_symmetric,
-    region_from_caps,
     region_relate,
 )
 from .scenario import (
@@ -66,25 +60,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayHalfLengths",
-    "BasisAllocation",
     "CornerPoints",
     "DegenerateGeometryError",
-    "DimCheck",
     "DimensionBudgetError",
     "DirectionSet",
     "DiscretizedChannel",
     "DofRegion",
     "DomainError",
-    "LinkProducts",
     "MalformedIntervalError",
-    "OperatorDimReport",
     "QuantizationError",
     "RankToleranceWarning",
     "RegionRelation",
     "Scenario",
     "ScatteringGeometry",
     "SchemaError",
-    "SpaceAllocation",
     "ZeroForcingResult",
     "allocate_basis",
     "cap_corners",
@@ -104,7 +93,6 @@ __all__ = [
     "numerical_rank",
     "parse_scenario",
     "refine",
-    "region_from_caps",
     "region_relate",
     "sample_channel",
     "verify_operator_dims",

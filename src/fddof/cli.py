@@ -32,6 +32,7 @@ from .oracle import (
     DimensionBudgetError,
     QuantizationError,
     _plan,
+    check_dimension_budget,
     integer_rescale,
     sample_channel,
     verify_operator_dims,
@@ -175,7 +176,7 @@ def _with_overlap(
     inside = fwd.take_from_left(overlap)
     remainder = back.measure() - overlap
     try:
-        outside = fwd.complement().take_from_left(remainder)
+        outside = (DirectionSet.full() - fwd).take_from_left(remainder)
     except ValueError:
         raise SweepBaseError(
             f"cannot place backscatter measure {back.measure()} with overlap "
@@ -243,7 +244,18 @@ def cmd_verify(args) -> int:
     if args.auto_rescale:
         g, scale = integer_rescale(g)
         print(f"auto-rescale: x{scale}")
-    _plan(g)  # refuses over-budget, then non-integral, before the report
+    try:
+        _plan(g)  # refuses over-budget, then non-integral, before the report
+    except QuantizationError as err:
+        print(f"error: quantization: {err}", file=sys.stderr)
+        try:
+            check_dimension_budget(g.scaled(err.suggested_scale))
+            hint = "re-run with --auto-rescale to apply the suggested scale"
+        except DimensionBudgetError as over:
+            hint = (f"at the suggested scale, {over}, so this geometry "
+                    "cannot be verified")
+        print(f"hint: {hint}", file=sys.stderr)
+        return EXIT_QUANTIZATION
     seeds = args.seeds if args.seeds is not None else scn.seeds
     rank_tol = args.rank_tol if args.rank_tol is not None else scn.rank_tol
     print(f"seeds: {seeds}   rank_tol: {rank_tol:g}")
@@ -400,13 +412,6 @@ def main(argv=None) -> int:
     except SweepBaseError as err:
         print(f"error: sweep base: {err}", file=sys.stderr)
         return EXIT_SWEEP_BASE
-    except QuantizationError as err:
-        print(f"error: quantization: {err}", file=sys.stderr)
-        print(
-            "hint: re-run with --auto-rescale to apply the suggested scale",
-            file=sys.stderr,
-        )
-        return EXIT_QUANTIZATION
     except DimensionBudgetError as err:
         print(f"error: dimension budget: {err}", file=sys.stderr)
         return EXIT_DIMENSION_BUDGET

@@ -43,13 +43,15 @@ _EXACT_COS = {
     Fraction(180): Fraction(-1),
 }
 
+_COS_DIGITS = 12  # decimal places every inexact cosine is rounded to
 
-def cos_degrees(angle: Rational, digits: int = 12) -> Fraction:
+
+def cos_degrees(angle: Rational) -> Fraction:
     """Cosine of an angle in degrees, as an exact rational.
 
     Well-known exact values are returned exactly; any other angle is
-    evaluated in high precision, correctly rounded to ``digits`` decimal
-    places and rationalized.  The result is clamped into [-1, 1].
+    evaluated in high precision, correctly rounded to ``_COS_DIGITS``
+    decimal places and rationalized.  The result is clamped into [-1, 1].
     """
     theta = _frac(angle)
     exact = _EXACT_COS.get(theta)
@@ -58,12 +60,12 @@ def cos_degrees(angle: Rational, digits: int = 12) -> Fraction:
     # imported here, so scenarios on the exact grid never load mpmath
     import mpmath
 
-    with mpmath.workdps(digits + 25):
+    with mpmath.workdps(_COS_DIGITS + 25):
         value = mpmath.cos(
             mpmath.mpf(theta.numerator) / theta.denominator * mpmath.pi / 180
         )
-        scaled = int(mpmath.nint(value * mpmath.mpf(10) ** digits))
-    approx = Fraction(scaled, 10**digits)
+        scaled = int(mpmath.nint(value * mpmath.mpf(10) ** _COS_DIGITS))
+    approx = Fraction(scaled, 10**_COS_DIGITS)
     return min(max(approx, LOWER), UPPER)
 
 
@@ -127,9 +129,7 @@ class DirectionSet:
 
     @classmethod
     def from_angles(
-        cls,
-        angle_pairs: Iterable[tuple[Rational, Rational]],
-        digits: int = 12,
+        cls, angle_pairs: Iterable[tuple[Rational, Rational]]
     ) -> "DirectionSet":
         """Map angular supports, in degrees on [0, 180], through the cosine.
 
@@ -148,7 +148,7 @@ class DirectionSet:
                 raise DomainError(
                     f"angle pair [{a}, {b}] leaves [0, 180] degrees"
                 )
-            lo, hi = cos_degrees(b, digits), cos_degrees(a, digits)
+            lo, hi = cos_degrees(b), cos_degrees(a)
             if lo < hi:
                 spans.append((lo, hi))
         return cls(spans)
@@ -180,10 +180,10 @@ class DirectionSet:
         """Total width, in [0, 2]."""
         return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
 
-    def union(self, other: "DirectionSet") -> "DirectionSet":
+    def __or__(self, other: "DirectionSet") -> "DirectionSet":
         return DirectionSet(self.intervals + other.intervals)
 
-    def intersection(self, other: "DirectionSet") -> "DirectionSet":
+    def __and__(self, other: "DirectionSet") -> "DirectionSet":
         out = []
         a, b = self.intervals, other.intervals
         i = j = 0
@@ -198,7 +198,7 @@ class DirectionSet:
                 j += 1
         return DirectionSet(out)
 
-    def difference(self, other: "DirectionSet") -> "DirectionSet":
+    def __sub__(self, other: "DirectionSet") -> "DirectionSet":
         out = []
         for lo, hi in self.intervals:
             cursor = lo
@@ -215,17 +215,6 @@ class DirectionSet:
             if cursor < hi:
                 out.append((cursor, hi))
         return DirectionSet(out)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
-    def complement(self) -> "DirectionSet":
-        """Complement within [-1, 1]."""
-        return DirectionSet.full() - self
-
-    def issubset(self, other: "DirectionSet") -> bool:
-        return not self.difference(other)
 
     def take_from_left(self, amount: Rational) -> "DirectionSet":
         """Leftmost subset with exactly the requested measure."""

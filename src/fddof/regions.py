@@ -182,10 +182,6 @@ class DofRegion:
             if x + y > ds:
                 raise ValueError(f"vertex ({vx}, {vy}) violates the sum cap")
 
-    def contains(self, point: tuple[Rational, Rational]) -> bool:
-        """Exact membership test on the convex hull of the vertices."""
-        return _hull_contains(self.vertices, _frac(point[0]), _frac(point[1]))
-
     def area(self) -> Fraction:
         if len(self.vertices) < 3:
             return Fraction(0)
@@ -198,11 +194,8 @@ class DofRegion:
 
 
 def _hull_contains(verts, x, y) -> bool:
-    """Whether (x, y) lies in the convex hull of ``verts`` (ccw order).
-
-    Exact on ints or Fractions alike, as long as the point and the
-    vertices are of one kind.
-    """
+    """Whether the integer point (x, y) lies in the convex hull of the
+    integer vertices ``verts`` (ccw order); ``region_relate`` reads it."""
     if len(verts) == 1:
         return (x, y) == verts[0]
     if len(verts) == 2:
@@ -383,12 +376,13 @@ def corner_points(g: ScatteringGeometry) -> CornerPoints:
     )
 
 
-def _cap_region(k: int, caps: tuple, exact: tuple) -> DofRegion:
-    """The cap polygon of integer caps over ``k``; ``exact`` holds them as
-    Fractions, and only a corner on the sum facet builds a new one."""
-    d1, d2, ds = caps
-    if ds < max(d1, d2):
-        raise ValueError("sum cap below an individual cap")
+def fd_region(g: ScatteringGeometry) -> DofRegion:
+    """Full-duplex region: the cap polygon of fd_caps.
+
+    Built on the caps as integers over k; only a corner on the sum facet
+    needs a Fraction the caps do not already hold.
+    """
+    k, (d1, d2, ds), exact = _caps(g)
     value = {0: _ZERO, d1: exact[0], d2: exact[1]}
     verts = [(0, 0)]
     if d1 > 0:
@@ -404,25 +398,6 @@ def _cap_region(k: int, caps: tuple, exact: tuple) -> DofRegion:
     if d2 > 0 and (0, d2) != verts[-1]:
         verts.append((0, d2))
     return DofRegion(*exact, tuple((value[x], value[y]) for x, y in verts))
-
-
-def region_from_caps(
-    d1_cap: Rational, d2_cap: Rational, dsum_cap: Rational
-) -> DofRegion:
-    """Polygon of {(d1, d2) >= 0 : d1 <= d1_cap, d2 <= d2_cap, sum <= dsum_cap}.
-
-    Requires dsum_cap >= max(d1_cap, d2_cap), which every geometry-derived
-    cap triple satisfies.  Built on the caps as integers over one
-    denominator, by the rule ``fd_region`` uses.
-    """
-    exact = (_frac(d1_cap), _frac(d2_cap), _frac(dsum_cap))
-    den, [[(d1, d2), (ds, _)]] = scaled_endpoints([[exact[:2], (exact[2], 0)]])
-    return _cap_region(den, (d1, d2, ds), exact)
-
-
-def fd_region(g: ScatteringGeometry) -> DofRegion:
-    """Full-duplex region: the cap polygon of fd_caps."""
-    return _cap_region(*_caps(g))
 
 
 def hd_region(g: ScatteringGeometry) -> DofRegion:

@@ -108,7 +108,8 @@ def reference_caps(g: ScatteringGeometry) -> tuple[Fraction, ...]:
 
 
 def reference_cap_vertices(d1: Fraction, d2: Fraction, ds: Fraction) -> tuple:
-    """The vertices of ``region_from_caps`` by Fraction comparisons."""
+    """The vertices of the cap polygon of (d1, d2, ds), ``fd_region``'s
+    rule, by Fraction comparisons."""
     zero = Fraction(0)
     verts = [(zero, zero)]
     if d1 > 0:
@@ -122,6 +123,11 @@ def reference_cap_vertices(d1: Fraction, d2: Fraction, ds: Fraction) -> tuple:
     if d2 > 0 and (zero, d2) != verts[-1]:
         verts.append((zero, d2))
     return tuple(verts)
+
+
+def cap_region(d1, d2, ds) -> DofRegion:
+    """The cap polygon of any cap triple with ds >= max(d1, d2)."""
+    return DofRegion(d1, d2, ds, reference_cap_vertices(d1, d2, ds))
 
 
 def reference_hd_region(g: ScatteringGeometry) -> DofRegion:
@@ -148,7 +154,7 @@ def dual(g: ScatteringGeometry) -> ScatteringGeometry:
 
 
 def reference_contains(region: DofRegion, point) -> bool:
-    """``DofRegion.contains`` by Fraction cross products."""
+    """Whether ``point`` lies in ``region``, by Fraction cross products."""
     x, y = Fraction(point[0]), Fraction(point[1])
     verts = region.vertices
     if len(verts) == 1:
@@ -273,7 +279,7 @@ def reference_allocation(g: ScatteringGeometry) -> dict:
 def reference_mask(atoms, dims, support: DirectionSet) -> np.ndarray:
     """``SpaceAllocation.mask`` by DirectionSet differences: True per basis
     function when its atom lies in ``support``."""
-    flags = [atom.issubset(support) for atom in atoms]
+    flags = [not (atom - support) for atom in atoms]
     return np.repeat(np.asarray(flags, dtype=bool), dims)
 
 

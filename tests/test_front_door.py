@@ -1,8 +1,11 @@
-"""Property test of the CLI front door: whatever the scenario text and the
-command line, ``cli.main`` ends with a documented exit code (0-7), never an
-exception."""
+"""The package's front door: whatever the scenario text and the command
+line, ``cli.main`` ends with a documented exit code (0-7), never an
+exception; and ``fddof`` exports exactly its public surface, every name
+the benchmark imports included."""
 
+import ast
 import copy
+import importlib.util
 import io
 import json
 import tempfile
@@ -12,9 +15,11 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import fddof
 from fddof.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 DOCS = {
     path.name: json.loads(path.read_text(encoding="utf-8"))
     for path in sorted(SCENARIOS.glob("*.json"))
@@ -207,3 +212,42 @@ def run_main(text: str, argv: list[str]) -> int:
          argv=["region", SCENARIO])
 def test_every_input_ends_in_a_documented_exit_code(text, argv):
     assert run_main(text, argv) in range(8)
+
+
+PUBLIC = [
+    "ArrayHalfLengths", "CornerPoints", "DegenerateGeometryError",
+    "DimensionBudgetError", "DirectionSet", "DiscretizedChannel",
+    "DofRegion", "DomainError", "MalformedIntervalError",
+    "QuantizationError", "RankToleranceWarning", "RegionRelation",
+    "Scenario", "ScatteringGeometry", "SchemaError", "ZeroForcingResult",
+    "allocate_basis", "cap_corners", "corner_points", "corrupt_support",
+    "cos_degrees", "fd_caps", "fd_region", "genie_expand", "hd_region",
+    "integer_rescale", "is_rectangular", "link_products", "load_scenario",
+    "make_fully_spread", "make_symmetric", "numerical_rank",
+    "parse_scenario", "refine", "region_relate", "sample_channel",
+    "verify_operator_dims", "zero_forcing_corner", "zf_case_applies",
+]
+
+
+def benchmark_imports() -> set[str]:
+    """Every name a ``from fddof import (...)`` in ``benchmarks/*.py``
+    imports, read from the source without running it."""
+    names = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "fddof":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_the_public_surface_is_what_the_cli_benchmark_and_paper_read():
+    assert sorted(fddof.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(fddof, name) is not None
+    imported = benchmark_imports()
+    assert {"fd_region", "zf_case_applies", "cli"} <= imported
+    for name in imported:
+        # a submodule such as cli is importable without being an attribute
+        assert (hasattr(fddof, name)
+                or importlib.util.find_spec(f"fddof.{name}") is not None), name

@@ -20,15 +20,16 @@ from fddof import (
     corrupt_support,
     cos_degrees,
     fd_caps,
+    fd_region,
     load_scenario,
     make_fully_spread,
     parse_scenario,
-    region_from_caps,
     sample_channel,
 )
 from fddof import cli
 from fddof.cli import build_parser, main
 from fddof.scenario import MAX_SEEDS, SchemaError
+from geom_helpers import cap_region
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SYMMETRIC = str(SCENARIOS / "symmetric_overlap_075.json")
@@ -324,6 +325,33 @@ class TestExitCodes:
         # refused before the caps, the corners or the seed table
         for line in ("caps:", "corners:", "seed  rank11"):
             assert line not in captured.out
+
+    def test_quantization_hint_within_the_budget(self, capsys):
+        assert main(["verify", SYMMETRIC]) == 6
+        assert capsys.readouterr().err == (
+            "error: quantization: space t2: atom [-1/4, 0) has non-integral "
+            "dimension 1/2 (space total 5/2); scaling all array lengths by 2 "
+            "makes every atom dimension integral\n"
+            "hint: re-run with --auto-rescale to apply the suggested scale\n"
+        )
+
+    def test_quantization_hint_over_the_budget(self, tmp_path, capsys):
+        # off the exact-cosine grid: the suggested scale is 2.5 * 10^11,
+        # so --auto-rescale would only exit 7
+        data = json.loads(Path(ANGLES).read_text(encoding="utf-8"))
+        for name in ("t11", "r11", "t22", "r22"):
+            data["intervals"][name] = {"angles_deg": [["45", "90"]]}
+        assert main(["verify", write_json(tmp_path, data)]) == 6
+        assert capsys.readouterr().err == (
+            "error: quantization: space t1: atom [0, "
+            "707106781187/1000000000000) has non-integral dimension "
+            "707106781187/250000000000 (space total "
+            "707106781187/250000000000); scaling all array lengths by "
+            "250000000000 makes every atom dimension integral\n"
+            "hint: at the suggested scale, space t1 needs 707106781187 basis "
+            "functions, above the budget of 2048 per space, so this geometry "
+            "cannot be verified\n"
+        )
 
     def test_corrupt_support_option_is_a_usage_error_2(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -808,10 +836,10 @@ def test_entry_point_escapes_what_the_terminal_cannot_encode(tmp_path):
 
 # -- helpers ------------------------------------------------------------------------
 
-def test_region_from_caps_matches_cli_reassembly():
-    region = region_from_caps(4, 4, 8)
-    assert region.vertices == ((0, 0), (4, 0), (4, 4), (0, 4))
+def test_fd_region_matches_cli_reassembly():
     assert fd_caps(make_fully_spread(2, 1)) == (4, 4, 8)
+    region = fd_region(make_fully_spread(2, 1))
+    assert region.vertices == ((0, 0), (4, 0), (4, 4), (0, 4))
 
 
 @pytest.mark.parametrize(
@@ -821,7 +849,7 @@ def test_svg_tick_step_doubles_past_a_span_of_12(cap, ticks):
     from fddof.svgplot import render_regions
 
     # the span is 1.08 times the largest cap: 11.88, then 21.6
-    text = render_regions([("r", region_from_caps(cap, cap, 2 * cap))])
+    text = render_regions([("r", cap_region(cap, cap, 2 * cap))])
     labels = re.findall(r'font-size="11" text-anchor="\w+">(\d+)</text>', text)
     assert labels == [str(t) for t in ticks for _ in range(2)]
 
@@ -829,7 +857,7 @@ def test_svg_tick_step_doubles_past_a_span_of_12(cap, ticks):
 def test_svg_renders_degenerate_regions_as_polylines():
     from fddof.svgplot import render_regions
 
-    segment = region_from_caps(2, 0, 2)
+    segment = cap_region(2, 0, 2)
     text = render_regions([("uplink only", segment)])
     assert "<polyline" in text
     assert "uplink only" in text
