@@ -3,31 +3,30 @@
 Exit codes: 0 ok; 1 verification failure; 2 a scenario file that is missing
 or cannot be read, an output file that cannot be written (any OSError), or
 a usage error (argparse: unknown option, missing argument, or an option
-value its validator rejects, such as ``--seeds 0``, a ``--seeds`` above
-``scenario.MAX_SEEDS`` or ``--rank-tol nan``); 3 schema error: scenario text
-that is not UTF-8 JSON, a field of the wrong type, an ``oracle.seeds`` above
-``MAX_SEEDS``, a scenario name with a control character, a rational
-literal over the digit budget, or lengths and endpoints whose common
-denominator is over the bit budget; 4 interval/length
-invariant violation, or a sweep whose sum cap rises with the overlap; 5 bad
-sweep base, including a ``--grid`` value that is not a rational literal
-within the digit budget; 6 quantization, found before ``verify`` prints
-its caps; 7 a signal space above the oracle's dimension budget
-(``oracle.MAX_SPACE_DIM`` basis functions), found before any matrix is
-allocated and before ``verify`` prints its caps.
+value its validator rejects, such as ``--seeds 0`` or a ``--seeds`` above
+``MAX_SEEDS``); 3 schema error: scenario text that is not UTF-8 JSON, a
+field of the wrong type, a key the schema does not name, a scenario name
+with a control character, a rational literal over the digit budget, or
+lengths and endpoints whose common denominator is over the bit budget;
+4 interval/length invariant violation, or a sweep whose sum cap rises with
+the overlap; 5 bad sweep base, including a ``--grid`` value that is not a
+rational literal within the digit budget; 6 quantization, found before
+``verify`` prints its caps; 7 a signal space above the oracle's dimension
+budget (``oracle.MAX_SPACE_DIM`` basis functions), found before any matrix
+is allocated and before ``verify`` prints its caps.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from fractions import Fraction
 from functools import cache
 
 from .intervals import DirectionSet, DomainError, MalformedIntervalError
 from .oracle import (
+    DEFAULT_RANK_TOL,
     LEAKAGE_TOL,
     DimensionBudgetError,
     QuantizationError,
@@ -50,13 +49,7 @@ from .regions import (
     make_symmetric,
     region_relate,
 )
-from .scenario import (
-    MAX_SEEDS,
-    Scenario,
-    SchemaError,
-    _literal,
-    load_scenario,
-)
+from .scenario import Scenario, SchemaError, _literal, load_scenario
 from .svgplot import write_svg
 
 EXIT_OK = 0
@@ -69,6 +62,14 @@ EXIT_QUANTIZATION = 6
 EXIT_DIMENSION_BUDGET = 7
 
 DEFAULT_GRID = "1,3/4,1/2,1/4,0"
+
+DEFAULT_SEEDS = 20
+
+# Most oracle seeds one verify run takes.  Wall budget: two minutes.  One
+# seed (sample, rank checks, zero forcing) costs 5-10 ms on the checked-in
+# scenarios scaled to 64-80 basis functions per space (2-core Xeon, numpy
+# 2.4), so 2 min / 10 ms = 12000 seeds, rounded down.
+MAX_SEEDS = 10_000
 
 
 class SweepBaseError(ValueError):
@@ -256,9 +257,7 @@ def cmd_verify(args) -> int:
                     "cannot be verified")
         print(f"hint: {hint}", file=sys.stderr)
         return EXIT_QUANTIZATION
-    seeds = args.seeds if args.seeds is not None else scn.seeds
-    rank_tol = args.rank_tol if args.rank_tol is not None else scn.rank_tol
-    print(f"seeds: {seeds}   rank_tol: {rank_tol:g}")
+    print(f"seeds: {args.seeds}   rank_tol: {DEFAULT_RANK_TOL:g}")
 
     d1_max, d2_max, dsum_max = fd_caps(g)
     corners = corner_points(g)
@@ -289,8 +288,8 @@ def cmd_verify(args) -> int:
         f"{name:<7}" for name in ("rank11", "rank12", "rank22", "null12", "codim11")
     )
     print(f"seed  {header_cells}  {'zf(d1,d2)':<10} leakage    status")
-    for seed in range(seeds):
-        ch = sample_channel(g, seed, rank_tol)
+    for seed in range(args.seeds):
+        ch = sample_channel(g, seed)
         report = verify_operator_dims(ch, g)
         zf = zero_forcing_corner(ch, g)
         rank_tuples.add(tuple(c.observed for c in report.checks))
@@ -325,15 +324,6 @@ def _seed_count(text: str) -> int:
     if not 1 <= value <= MAX_SEEDS:
         raise argparse.ArgumentTypeError(
             f"must be from 1 to {MAX_SEEDS}, got {value}"
-        )
-    return value
-
-
-def _positive_finite(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number above 0, got {text}"
         )
     return value
 
@@ -376,13 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="randomized matrix oracle checks of the closed forms"
     )
     p_verify.add_argument("scenario")
-    p_verify.add_argument("--seeds", type=_seed_count, default=None)
+    p_verify.add_argument("--seeds", type=_seed_count, default=DEFAULT_SEEDS)
     p_verify.add_argument(
         "--auto-rescale",
         action="store_true",
         help="scale array lengths to the least integral geometry first",
     )
-    p_verify.add_argument("--rank-tol", type=_positive_finite, default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

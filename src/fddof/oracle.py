@@ -243,7 +243,8 @@ class DiscretizedChannel:
     s12: np.ndarray
     s22: np.ndarray
     geometry: ScatteringGeometry
-    rank_tol: float = DEFAULT_RANK_TOL
+    # a class attribute, not a field: every channel decides ranks alike
+    rank_tol = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         mats = (self.s11, self.s12, self.s22)
@@ -336,9 +337,7 @@ def check_dimension_budget(g: ScatteringGeometry) -> None:
             raise DimensionBudgetError(label, Fraction(total, k))
 
 
-def sample_channel(
-    g: ScatteringGeometry, seed: int, rank_tol: float = DEFAULT_RANK_TOL
-) -> DiscretizedChannel:
+def sample_channel(g: ScatteringGeometry, seed: int) -> DiscretizedChannel:
     """Draw the three block-supported matrices for an integral geometry.
 
     The matrices are drawn in a fixed order from one generator, so a given
@@ -351,7 +350,7 @@ def sample_channel(
 
     rng = np.random.default_rng(seed)
     s11, s12, s22 = (_sample_block(rng, *step) for step in plan)
-    return DiscretizedChannel(s11, s12, s22, g, rank_tol)
+    return DiscretizedChannel(s11, s12, s22, g)
 
 
 def corrupt_support(

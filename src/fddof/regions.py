@@ -122,8 +122,9 @@ class ScatteringGeometry:
         return self._key == other._key
 
     def __getstate__(self) -> dict:
-        # a hash is a fact of one process and a key is rebuilt on first
-        # use, so neither is pickled
+        # an integer tuple's hash depends on the build (word size, Python
+        # version), so a pickled one may be wrong where it is loaded; the
+        # key restates the fields and is rebuilt on first use
         state = dict(self.__dict__)
         state.pop("_hash", None)
         state.pop("_key", None)
@@ -135,7 +136,8 @@ class ScatteringGeometry:
 
 @dataclass(frozen=True)
 class CornerPoints:
-    """The two corner points bracketing the sum facet; checked as DofRegion."""
+    """The two corner points bracketing the sum facet: nonnegative, and
+    p'' neither right of nor below p'."""
 
     p_prime: tuple[Fraction, Fraction]
     p_double_prime: tuple[Fraction, Fraction]

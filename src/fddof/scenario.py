@@ -20,16 +20,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .intervals import DirectionSet, DomainError, MalformedIntervalError
-from .oracle import DEFAULT_RANK_TOL
 from .regions import ArrayHalfLengths, ScatteringGeometry, link_products
-
-DEFAULT_SEEDS = 20
-
-# Most oracle seeds one verify run takes.  Wall budget: two minutes.  One
-# seed (sample, rank checks, zero forcing) costs 5-10 ms on the checked-in
-# scenarios scaled to 64-80 basis functions per space (2-core Xeon, numpy
-# 2.4), so 2 min / 10 ms = 12000 seeds, rounded down.
-MAX_SEEDS = 10_000
 
 _LENGTH_KEYS = ("l_t1", "l_r1", "l_t2", "l_r2")
 _INTERVAL_KEYS = ("t11", "r11", "t22", "r22", "t12", "r12")
@@ -60,14 +51,10 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named geometry with its oracle run settings: ``seeds`` and
-    ``rank_tol`` are the file's ``oracle`` block, each defaulted when
-    absent, and ``verify --seeds`` and ``--rank-tol`` override them."""
+    """A named geometry, as a scenario file describes it."""
 
     name: str
     geometry: ScatteringGeometry
-    seeds: int = DEFAULT_SEEDS
-    rank_tol: float = DEFAULT_RANK_TOL
 
 
 def _literal(value: str | int | Decimal) -> Fraction:
@@ -166,6 +153,7 @@ def _direction_set(value: Any, path: str) -> DirectionSet:
 def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise SchemaError("$", "top level must be an object")
+    _object(data, "$", ("name", "lengths", "intervals"))
     name = data.get("name", default_name)
     if not isinstance(name, str):
         raise SchemaError("name", "expected a string")
@@ -180,29 +168,6 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
 
     length_values = _section(data, "lengths", _LENGTH_KEYS, _rational)
     sets = _section(data, "intervals", _INTERVAL_KEYS, _direction_set)
-
-    seeds, rank_tol = DEFAULT_SEEDS, DEFAULT_RANK_TOL
-    if "oracle" in data:
-        block = _object(data["oracle"], "oracle", ("seeds", "rank_tol"))
-        seeds = block.get("seeds", seeds)
-        if (not isinstance(seeds, int) or isinstance(seeds, bool)
-                or not 1 <= seeds <= MAX_SEEDS):
-            raise SchemaError(
-                "oracle.seeds", f"expected an integer from 1 to {MAX_SEEDS}"
-            )
-        rank_tol = block.get("rank_tol", rank_tol)
-        if isinstance(rank_tol, bool) or not isinstance(
-            rank_tol, (int, float, Fraction, Decimal)
-        ):
-            raise SchemaError("oracle.rank_tol", "expected a positive number")
-        try:
-            rank_tol = float(rank_tol)
-        except OverflowError:
-            raise SchemaError("oracle.rank_tol", "too large") from None
-        if not (math.isfinite(rank_tol) and rank_tol > 0):
-            raise SchemaError(
-                "oracle.rank_tol", "expected a finite positive number"
-            )
 
     try:
         half_lengths = ArrayHalfLengths(**length_values)
@@ -227,7 +192,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
             "lengths and endpoints need a common denominator of more than "
             f"{_MAX_DENOMINATOR_BITS} bits",
         )
-    return Scenario(name, geometry, seeds, rank_tol)
+    return Scenario(name, geometry)
 
 
 def _json_int(text: str) -> int | Decimal:

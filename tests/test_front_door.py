@@ -84,7 +84,7 @@ json_scalars = st.one_of(
     json_strings,
 )
 json_keys = st.one_of(
-    st.sampled_from(["angles_deg", "l_t1", "t11", "seeds", "rank_tol"]),
+    st.sampled_from(["angles_deg", "l_t1", "t11", "intervals", "oracle"]),
     st.text(max_size=6),
 ).map(json.dumps)
 json_fragments = st.recursive(
@@ -143,10 +143,9 @@ def argvs(draw):
         argv += draw(option("--grid", grids))
         argv += draw(option("--csv", outputs)) + draw(option("--svg", outputs))
     else:
-        argv += ["--seeds", "1"] + draw(flag("--auto-rescale"))
-        argv += draw(option("--rank-tol", st.sampled_from(
-            ["1e-9", "nan", "0", "abc", "1e400"]
-        )))
+        # mostly one seed, so that verify stays fast
+        seeds = st.sampled_from(["1", "1", "1", "0", "10001", "abc", "-3"])
+        argv += ["--seeds", draw(seeds)] + draw(flag("--auto-rescale"))
     # an option the subcommand does not have, or no scenario at all
     return draw(st.sampled_from([argv, argv, argv, argv + ["--bogus"],
                                  [command]]))

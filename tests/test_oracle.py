@@ -2,7 +2,7 @@
 
 import random
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from fddof import (
     zf_case_applies,
 )
 from fddof.oracle import (
+    DEFAULT_RANK_TOL,
     LEAKAGE_TOL,
     MAX_SPACE_DIM,
     _plan,
@@ -457,6 +458,11 @@ class TestZeroForcing:
         ch = sample_channel(g, seed=0)
         with pytest.raises(ValueError, match="shapes differ"):
             replace(ch, **{name: getattr(ch, name).T})
+
+    def test_every_channel_decides_ranks_at_the_fixed_threshold(self):
+        ch = sample_channel(make_fully_spread(1, 1), 0)
+        assert ch.rank_tol == DEFAULT_RANK_TOL
+        assert "rank_tol" not in [f.name for f in fields(ch)]
 
     def test_shapes_are_checked_against_the_recorded_geometry(self):
         g = symmetric_overlap(2, F(3, 4))
