@@ -84,6 +84,10 @@ def _show(value: Fraction) -> str:
     return f"{value} ({float(value):.6g})"
 
 
+def _points(*pairs) -> str:
+    return " ".join(f"({x}, {y})" for x, y in pairs)
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     """One CSV table; numbers are written to 12 significant digits and
     strings as they are."""
@@ -108,14 +112,10 @@ def cmd_region(args) -> int:
     print(f"d1_max   = {_show(d1_max)}")
     print(f"d2_max   = {_show(d2_max)}")
     print(f"dsum_max = {_show(dsum_max)}")
-    print(f"corner p'  = ({corners.p_prime[0]}, {corners.p_prime[1]})")
-    print(
-        f"corner p'' = ({corners.p_double_prime[0]}, "
-        f"{corners.p_double_prime[1]})"
-    )
+    print(f"corner p'  = {_points(corners.p_prime)}")
+    print(f"corner p'' = {_points(corners.p_double_prime)}")
     print(f"rectangular: {'yes' if is_rectangular(g) else 'no'}")
-    verts = " ".join(f"({x}, {y})" for x, y in region.vertices)
-    print(f"vertices (ccw): {verts}")
+    print(f"vertices (ccw): {_points(*region.vertices)}")
 
     if args.csv:
         _write_csv(args.csv, ["d1", "d2"], region.vertices)
@@ -138,11 +138,9 @@ def cmd_compare(args) -> int:
         f"FD caps: d1_max={_show(fd.d1_cap)}  d2_max={_show(fd.d2_cap)}  "
         f"dsum_max={_show(fd.dsum_cap)}"
     )
-    print(f"FD vertices: {' '.join(f'({x}, {y})' for x, y in fd.vertices)}")
-    print(f"HD vertices: {' '.join(f'({x}, {y})' for x, y in hd.vertices)}")
-    if relation is RegionRelation.EQUAL:
-        print("relation: equal")
-    elif relation is RegionRelation.A_STRICT_SUBSET_B:
+    print(f"FD vertices: {_points(*fd.vertices)}")
+    print(f"HD vertices: {_points(*hd.vertices)}")
+    if relation is RegionRelation.A_STRICT_SUBSET_B:
         print("relation: HD strictly inside FD")
     else:
         print(f"relation: {relation.value}")
@@ -262,10 +260,8 @@ def cmd_verify(args) -> int:
     d1_max, d2_max, dsum_max = fd_caps(g)
     corners = corner_points(g)
     print(f"caps: d1_max={d1_max} d2_max={d2_max} dsum_max={dsum_max}")
-    print(
-        f"corners: p'=({corners.p_prime[0]}, {corners.p_prime[1]})  "
-        f"p''=({corners.p_double_prime[0]}, {corners.p_double_prime[1]})"
-    )
+    print(f"corners: p'={_points(corners.p_prime)}  "
+          f"p''={_points(corners.p_double_prime)}")
 
     target = cap_corners((d1_max, d2_max, dsum_max))
     identity_ok = corners == target

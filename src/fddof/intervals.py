@@ -51,7 +51,7 @@ def cos_degrees(angle: Rational) -> Fraction:
 
     Well-known exact values are returned exactly; any other angle is
     evaluated in high precision, correctly rounded to ``_COS_DIGITS``
-    decimal places and rationalized.  The result is clamped into [-1, 1].
+    decimal places and rationalized, which cannot leave [-1, 1].
     """
     theta = _frac(angle)
     exact = _EXACT_COS.get(theta)
@@ -65,8 +65,7 @@ def cos_degrees(angle: Rational) -> Fraction:
             mpmath.mpf(theta.numerator) / theta.denominator * mpmath.pi / 180
         )
         scaled = int(mpmath.nint(value * mpmath.mpf(10) ** _COS_DIGITS))
-    approx = Fraction(scaled, 10**_COS_DIGITS)
-    return min(max(approx, LOWER), UPPER)
+    return Fraction(scaled, 10**_COS_DIGITS)
 
 
 def _merge(pairs: Iterable[tuple]) -> list[tuple]:

@@ -470,8 +470,9 @@ def zero_forcing_corner(
 
     The leakage figure is measured, not read back from the singular
     values: the largest column norm of U1^H s12 P, relative to the
-    spectral norm of s12.  Raises ValueError when ``ch`` was not sampled
-    from ``g``.
+    spectral norm of s12.  P keeps only directions whose singular value
+    was dropped, so ``max_leakage <= rank_tol`` by construction.  Raises
+    ValueError when ``ch`` was not sampled from ``g``.
     """
     import numpy as np
 

@@ -9,7 +9,6 @@ model are genuinely non-integer and are never rounded.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -137,16 +136,16 @@ class ScatteringGeometry:
 @dataclass(frozen=True)
 class CornerPoints:
     """The two corner points bracketing the sum facet: nonnegative, and
-    p'' neither right of nor below p'."""
+    p'' neither right of nor below p'.  Coordinates are exact rationals
+    (ints or Fractions), checked as integers over one denominator."""
 
     p_prime: tuple[Fraction, Fraction]
     p_double_prime: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        corners = self.p_prime, self.p_double_prime
-        with suppress(AttributeError):  # a float, say, is compared as given
-            _, [corners] = scaled_endpoints([corners])
-        (d1p, d2p), (d1pp, d2pp) = corners
+        _, [[(d1p, d2p), (d1pp, d2pp)]] = scaled_endpoints(
+            [(self.p_prime, self.p_double_prime)]
+        )
         if min(d1p, d2p, d1pp, d2pp) < 0:
             raise ValueError("corner coordinates must be nonnegative")
         if d1p < d1pp or d2p > d2pp:
@@ -163,8 +162,8 @@ class DofRegion:
     with unequal axis caps is not cap-form, so its dsum_cap records the
     largest vertex coordinate sum instead.
 
-    The checks compare exact values (ints, Fractions) as integers over
-    one denominator, and anything else (a float, say) as given.
+    Caps and vertices are exact rationals (ints or Fractions); the checks
+    compare them as integers over one denominator.
     """
 
     d1_cap: Fraction
@@ -174,10 +173,9 @@ class DofRegion:
 
     def __post_init__(self):
         caps = (self.d1_cap, self.d2_cap), (self.dsum_cap, 0)
-        verts = self.vertices
-        with suppress(AttributeError):  # a float, say, is compared as given
-            _, [caps, verts] = scaled_endpoints([caps, verts])
-        (d1, d2), (ds, _) = caps
+        _, [((d1, d2), (ds, _)), verts] = scaled_endpoints(
+            [caps, self.vertices]
+        )
         for (x, y), (vx, vy) in zip(verts, self.vertices):
             if x < 0 or y < 0 or x > d1 or y > d2:
                 raise ValueError(f"vertex ({vx}, {vy}) violates the caps")
@@ -185,14 +183,10 @@ class DofRegion:
                 raise ValueError(f"vertex ({vx}, {vy}) violates the sum cap")
 
     def area(self) -> Fraction:
-        if len(self.vertices) < 3:
-            return Fraction(0)
-        twice = Fraction(0)
-        for i in range(len(self.vertices)):
-            ax, ay = self.vertices[i]
-            bx, by = self.vertices[(i + 1) % len(self.vertices)]
-            twice += ax * by - bx * ay
-        return twice / 2
+        # the shoelace sum; on one or two vertices its terms cancel to 0
+        v = self.vertices
+        edges = zip(v, v[1:] + v[:1])
+        return sum((ax * by - bx * ay for (ax, ay), (bx, by) in edges), _ZERO) / 2
 
 
 def _hull_contains(verts, x, y) -> bool:

@@ -62,7 +62,8 @@ def _literal(value: str | int | Decimal) -> Fraction:
 
     Raises ValueError, before anything is expanded, when the numerator or
     the denominator would need more than ``_MAX_DIGITS`` digits, and
-    ValueError or ZeroDivisionError when it is not a rational literal.
+    ValueError or ZeroDivisionError when it is not a rational literal;
+    ``1_0`` is not one on any Python (``Fraction`` reads it from 3.11 on).
     """
     text = str(value)
     # without an exponent, no part expands to more digits than the text has
@@ -76,6 +77,8 @@ def _literal(value: str | int | Decimal) -> Fraction:
                 max(len(digits) + max(exponent, 0), -exponent) > _MAX_DIGITS
             ):
                 raise ValueError(f"more than {_MAX_DIGITS} digits")
+    if "_" in text:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     return Fraction(text)
 
 

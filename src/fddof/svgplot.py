@@ -31,18 +31,28 @@ PALETTE = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _fmt(x: float | int) -> str:
+    return f"{x:.2f}" if isinstance(x, float) else str(x)
+
+
+def _line(x1, y1, x2, y2, color: str = "black", width: int = 1) -> str:
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+            f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{width}"/>')
+
+
+def _text(x, y, size: int, body, anchor: str = "", vertical=False) -> str:
+    x, y = _fmt(x), _fmt(y)
+    extra = f' text-anchor="{anchor}"' if anchor else ""
+    if vertical:  # read bottom to top, turned about (x, y)
+        extra += f' transform="rotate(-90 {x} {y})"'
+    return (f'<text x="{x}" y="{y}" font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
 
 
 def render_regions(entries: Sequence[tuple[str, DofRegion]]) -> str:
     """SVG document showing each (label, region) as a filled polygon."""
-    span = max(
-        [float(r.d1_cap) for _, r in entries]
-        + [float(r.d2_cap) for _, r in entries]
-        + [1.0]
-    )
-    span *= 1.08
+    caps = [float(cap) for _, r in entries for cap in (r.d1_cap, r.d2_cap)]
+    span = max(caps + [1.0]) * 1.08
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -60,23 +70,12 @@ def render_regions(entries: Sequence[tuple[str, DofRegion]]) -> str:
 
     # axes
     x0, y0 = sx(0.0), sy(0.0)
-    lines.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(sx(span))}" '
-        f'y2="{_fmt(y0)}" stroke="black" stroke-width="1"/>'
-    )
-    lines.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" '
-        f'y2="{_fmt(sy(span))}" stroke="black" stroke-width="1"/>'
-    )
-    lines.append(
-        f'<text x="{_fmt(sx(span / 2))}" y="{HEIGHT - 10}" font-family="sans-serif" '
-        f'font-size="14" text-anchor="middle">d1</text>'
-    )
-    lines.append(
-        f'<text x="16" y="{_fmt(sy(span / 2))}" font-family="sans-serif" '
-        f'font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt(sy(span / 2))})">d2</text>'
-    )
+    lines += [
+        _line(x0, y0, sx(span), y0),
+        _line(x0, y0, x0, sy(span)),
+        _text(sx(span / 2), HEIGHT - 10, 14, "d1", "middle"),
+        _text(16, sy(span / 2), 14, "d2", "middle", vertical=True),
+    ]
 
     # integer tick marks while they stay readable
     step = 1
@@ -84,22 +83,12 @@ def render_regions(entries: Sequence[tuple[str, DofRegion]]) -> str:
         step *= 2
     tick = step
     while tick < span:
-        lines.append(
-            f'<line x1="{_fmt(sx(tick))}" y1="{_fmt(y0)}" x2="{_fmt(sx(tick))}" '
-            f'y2="{_fmt(y0 + 5)}" stroke="black" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{_fmt(sx(tick))}" y="{_fmt(y0 + 20)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{tick}</text>'
-        )
-        lines.append(
-            f'<line x1="{_fmt(x0 - 5)}" y1="{_fmt(sy(tick))}" x2="{_fmt(x0)}" '
-            f'y2="{_fmt(sy(tick))}" stroke="black" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{_fmt(x0 - 9)}" y="{_fmt(sy(tick) + 4)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{tick}</text>'
-        )
+        lines += [
+            _line(sx(tick), y0, sx(tick), y0 + 5),
+            _text(sx(tick), y0 + 20, 11, tick, "middle"),
+            _line(x0 - 5, sy(tick), x0, sy(tick)),
+            _text(x0 - 9, sy(tick) + 4, 11, tick, "end"),
+        ]
         tick += step
 
     for i, (label, region) in enumerate(entries):
@@ -125,14 +114,10 @@ def render_regions(entries: Sequence[tuple[str, DofRegion]]) -> str:
     for i, (label, _) in enumerate(entries):
         color = PALETTE[i % len(PALETTE)]
         y = ly + 18 * i
-        lines.append(
-            f'<line x1="{lx}" y1="{y - 4}" x2="{lx + 24}" y2="{y - 4}" '
-            f'stroke="{color}" stroke-width="3"/>'
-        )
-        lines.append(
-            f'<text x="{lx + 30}" y="{y}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
+        lines += [
+            _line(lx, y - 4, lx + 24, y - 4, color, 3),
+            _text(lx + 30, y, 12, label),
+        ]
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

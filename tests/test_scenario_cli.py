@@ -192,8 +192,10 @@ class TestExitCodes:
             (lambda d: d["lengths"].update(l_t1=True),
              "lengths.l_t1: expected a rational, got a boolean"),
             (lambda d: d.update(name=5), "name: expected a string"),
+            (lambda d: d["lengths"].update(l_t1="1_0"),
+             "lengths.l_t1: not a rational of at most 300 digits: '1_0'"),
         ],
-        ids=["boolean-rational", "name-not-string"],
+        ids=["boolean-rational", "name-not-string", "digit-separator"],
     )
     def test_refused_value_is_3_with_its_message(self, tmp_path, mutate,
                                                  message, capsys):
@@ -262,8 +264,11 @@ class TestExitCodes:
              "cannot place backscatter measure 1 with overlap 0: not enough "
              "room outside the forward set"),
             ({}, ",", "--grid is empty"),
+            ({}, "1_0/16",
+             "bad --grid value: Invalid literal for Fraction: '1_0/16'"),
         ],
-        ids=["forward", "backscatter", "no-room", "empty-grid"],
+        ids=["forward", "backscatter", "no-room", "empty-grid",
+             "digit-separator"],
     )
     def test_bad_sweep_base_or_grid_is_5(self, tmp_path, intervals, grid,
                                          message, capsys):
