@@ -6,8 +6,9 @@ a usage error (argparse: unknown option, missing argument, or an option
 value its validator rejects, such as ``--seeds 0`` or a ``--seeds`` above
 ``MAX_SEEDS``); 3 schema error: scenario text that is not UTF-8 JSON, a
 field of the wrong type, a key the schema does not name, a scenario name
-with a control character, a rational literal over the digit budget, or
-lengths and endpoints whose common denominator is over the bit budget;
+with a control character or a line separator, a rational literal over the
+digit budget, or lengths and endpoints whose common denominator is over the
+bit budget;
 4 interval/length invariant violation, or a sweep whose sum cap rises with
 the overlap; 5 bad sweep base, including a ``--grid`` value that is not a
 rational literal within the digit budget; 6 quantization, found before

@@ -49,12 +49,19 @@ _COS_DIGITS = 12  # decimal places every inexact cosine is rounded to
 def cos_degrees(angle: Rational) -> Fraction:
     """Cosine of an angle in degrees, as an exact rational.
 
-    Well-known exact values are returned exactly; any other angle is
+    Well-known exact values are returned exactly, at any angle congruent
+    to one of them; any other angle is reduced exactly into [0, 180],
     evaluated in high precision, correctly rounded to ``_COS_DIGITS``
     decimal places and rationalized, which cannot leave [-1, 1].
     """
     theta = _frac(angle)
     exact = _EXACT_COS.get(theta)
+    if exact is None:
+        # cos is even with period 360, so the table also serves 420 and -60,
+        # and mpmath never rounds an argument far outside [0, 180]
+        theta %= 360
+        theta = min(theta, 360 - theta)
+        exact = _EXACT_COS.get(theta)
     if exact is not None:
         return exact
     # imported here, so scenarios on the exact grid never load mpmath

@@ -7,17 +7,20 @@ be an integer (apply integer_rescale first if it is not).  Atoms, their
 dimensions and their support masks are computed exactly on the geometry's
 integer form: every endpoint over one denominator, every length over
 another.  The scattering operators become complex matrices whose support
-is exactly the product of the receive and transmit scattering intervals,
-with free entries drawn from a standard complex normal so that every
-fully-supported submatrix has maximal rank with probability one.  The zero-forcing corner gives flow 2 the transmit
-subspace ker(U1^H s12), U1 an orthonormal basis of range(s11), with its
-rank threshold relative to the spectral norm of s12.  A channel factors s11
-and s12 once, on first use, and both checks read those factors; its
-matrices are read-only, so the factors cannot go stale.  Per-geometry facts
-(each operator's shape and supported rows and columns, and, cached in
-``regions``, the link products) are computed once per geometry, not once
-per seed; a channel's shapes are checked against the plan of the geometry
-it records.
+is exactly the product of the receive and transmit scattering intervals.
+Their free entries are drawn from a standard complex normal, so every
+fully-supported submatrix has maximal rank with probability one.
+
+The zero-forcing corner gives flow 2 the transmit subspace ker(U1^H s12),
+where U1 is an orthonormal basis of range(s11).  Its rank threshold is
+relative to the spectral norm of s12.
+
+A channel factors s11 and s12 once, on first use, and both checks read
+those factors; its matrices are read-only, so the factors cannot go
+stale.  Per-geometry facts (each operator's shape and supported rows and
+columns, and, cached in ``regions``, the link products) are computed once
+per geometry, not once per seed; a channel's shapes are checked against
+the plan of the geometry it records.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import reprlib
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -40,6 +41,15 @@ _MAX_DIGITS = 300
 # once every space is inside the oracle's dimension budget.
 _MAX_DENOMINATOR_BITS = 12_000
 
+# The rational literal grammar, Python 3.10's fractions._RATIONAL_FORMAT:
+# the strictest the supported versions read, so a literal means the same on
+# every one.  Later versions also read digit separators (3.11) and spaces
+# around the slash (3.12), and 3.11 and 3.12 misread a "d" after the point.
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:E[-+]?\d+)?)\s*",
+    re.IGNORECASE,
+)
+
 
 class SchemaError(ValueError):
     """Scenario file violates the schema; carries the offending field path."""
@@ -60,25 +70,23 @@ class Scenario:
 def _literal(value: str | int | Decimal) -> Fraction:
     """The exact rational a literal denotes: "p/q", an integer or a decimal.
 
-    Raises ValueError, before anything is expanded, when the numerator or
-    the denominator would need more than ``_MAX_DIGITS`` digits, and
-    ValueError or ZeroDivisionError when it is not a rational literal;
-    ``1_0`` is not one on any Python (``Fraction`` reads it from 3.11 on).
+    Raises ValueError when the text is not in ``_RATIONAL``'s grammar,
+    ValueError, before anything is expanded, when the numerator or the
+    denominator would need more than ``_MAX_DIGITS`` digits, and
+    ZeroDivisionError on a zero denominator.
     """
     text = str(value)
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     # without an exponent, no part expands to more digits than the text has
     if len(text) > _MAX_DIGITS or "e" in text or "E" in text:
         for part in text.split("/", 1):
             try:
                 _, digits, exponent = Decimal(part).as_tuple()
-            except InvalidOperation:
-                break  # not a number; Fraction says why
-            if isinstance(exponent, int) and (
-                max(len(digits) + max(exponent, 0), -exponent) > _MAX_DIGITS
-            ):
+            except InvalidOperation:  # an exponent past Decimal's range
+                raise ValueError(f"more than {_MAX_DIGITS} digits") from None
+            if max(len(digits) + max(exponent, 0), -exponent) > _MAX_DIGITS:
                 raise ValueError(f"more than {_MAX_DIGITS} digits")
-    if "_" in text:
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     return Fraction(text)
 
 
@@ -164,10 +172,13 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         name.encode("utf-8")  # the report prints it
     except UnicodeEncodeError:
         raise SchemaError("name", "not valid Unicode text") from None
-    # Unicode category Cc (C0 controls, DEL, C1 controls): a newline in a
-    # name could print a report line of its own, such as a forged RESULT
-    if any(c < " " or "\x7f" <= c <= "\x9f" for c in name):
-        raise SchemaError("name", "contains a control character")
+    # Unicode category Cc (C0 controls, DEL, C1 controls) and the line and
+    # paragraph separators, the characters str.splitlines breaks at: one in
+    # a name could print a report line of its own, such as a forged RESULT
+    if any(c < " " or "\x7f" <= c <= "\x9f" or c in "\u2028\u2029"
+           for c in name):
+        raise SchemaError("name", "contains a control character or a line "
+                          "separator")
 
     length_values = _section(data, "lengths", _LENGTH_KEYS, _rational)
     sets = _section(data, "intervals", _INTERVAL_KEYS, _direction_set)

@@ -144,6 +144,15 @@ class TestFromAngles:
         assert cos_degrees(45) == F(707106781187, 10**12)
         assert cos_degrees("22.5") == F(923879532511, 10**12)
 
+    def test_angles_are_reduced_exactly_mod_360(self):
+        # mpmath's working precision read 45 + 360 * 10**40 as an angle
+        # whose cosine is 0.867
+        huge = 360 * 10**40
+        assert cos_degrees(45 + huge) == F(707106781187, 10**12)
+        assert cos_degrees(-45 - huge) == F(707106781187, 10**12)
+        assert cos_degrees(F(45, 2) + huge) == F(923879532511, 10**12)
+        assert cos_degrees(420) == cos_degrees(-60) == F(1, 2)
+
     def test_generic_angles_round_trip_through_sets(self):
         d = DirectionSet.from_angles([(30, 45)])
         (lo, hi), = d.intervals

@@ -194,8 +194,13 @@ class TestExitCodes:
             (lambda d: d.update(name=5), "name: expected a string"),
             (lambda d: d["lengths"].update(l_t1="1_0"),
              "lengths.l_t1: not a rational of at most 300 digits: '1_0'"),
+            (lambda d: d["lengths"].update(l_t1="1 / 2"),
+             "lengths.l_t1: not a rational of at most 300 digits: '1 / 2'"),
+            (lambda d: d["lengths"].update(l_t1="1.d"),
+             "lengths.l_t1: not a rational of at most 300 digits: '1.d'"),
         ],
-        ids=["boolean-rational", "name-not-string", "digit-separator"],
+        ids=["boolean-rational", "name-not-string", "digit-separator",
+             "slash-space", "d-decimal"],
     )
     def test_refused_value_is_3_with_its_message(self, tmp_path, mutate,
                                                  message, capsys):
@@ -266,9 +271,13 @@ class TestExitCodes:
             ({}, ",", "--grid is empty"),
             ({}, "1_0/16",
              "bad --grid value: Invalid literal for Fraction: '1_0/16'"),
+            ({}, "1 / 2",
+             "bad --grid value: Invalid literal for Fraction: '1 / 2'"),
+            ({}, "1.d",
+             "bad --grid value: Invalid literal for Fraction: '1.d'"),
         ],
         ids=["forward", "backscatter", "no-room", "empty-grid",
-             "digit-separator"],
+             "digit-separator", "slash-space", "d-decimal"],
     )
     def test_bad_sweep_base_or_grid_is_5(self, tmp_path, intervals, grid,
                                          message, capsys):
@@ -422,22 +431,29 @@ class TestExitCodes:
         assert main([command, write_json(tmp_path, data)]) == 3
         assert "lengths.l_t1" in capsys.readouterr().err
 
+    # the second exponent is past the range Decimal reads
+    EXPANDING = ("1e-2000000", "1e99999999999999999999")
+
     def test_expanding_scenario_literal_is_3_within_a_second(self, tmp_path,
                                                              capsys):
-        data = base_scenario_dict()
-        data["lengths"]["l_t1"] = "1e-2000000"
-        start = time.perf_counter()
-        code = main(["region", write_json(tmp_path, data)])
-        assert time.perf_counter() - start < 1
-        assert code == 3
-        assert "lengths.l_t1" in capsys.readouterr().err
+        for literal in self.EXPANDING:
+            data = base_scenario_dict()
+            data["lengths"]["l_t1"] = literal
+            start = time.perf_counter()
+            code = main(["region", write_json(tmp_path, data)])
+            assert time.perf_counter() - start < 1
+            assert code == 3
+            assert "lengths.l_t1" in capsys.readouterr().err
 
     def test_expanding_grid_literal_is_5_within_a_second(self, capsys):
-        start = time.perf_counter()
-        code = main(["sweep", SYMMETRIC, "--grid", "1/2,1e-2000000"])
-        assert time.perf_counter() - start < 1
-        assert code == 5
-        assert "bad --grid value" in capsys.readouterr().err
+        for literal in self.EXPANDING:
+            start = time.perf_counter()
+            code = main(["sweep", SYMMETRIC, "--grid", f"1/2,{literal}"])
+            assert time.perf_counter() - start < 1
+            assert code == 5
+            assert capsys.readouterr().err == (
+                "error: sweep base: bad --grid value: more than 300 digits\n"
+            )
 
     @pytest.mark.parametrize("raw", ["1e-999999999", '"1e-999999999"'])
     def test_nine_digit_exponent_is_3_within_a_second(self, tmp_path, raw,
@@ -481,12 +497,18 @@ class TestExitCodes:
         assert out == "" and "name" in err
 
     def test_names_are_refused_exactly_on_category_cc(self):
+        # and on the rest of what str.splitlines breaks at, U+2028 and
+        # U+2029, which a report's reader would split as a line break
         import unicodedata
 
+        breaks = {chr(code) for code in range(0x110000)
+                  if len(f"a{chr(code)}b".splitlines()) > 1}
+        assert {"\u2028", "\u2029"} < breaks
         data = base_scenario_dict()
-        for code in range(0x200):
-            data["name"] = f"a{chr(code)}b"
-            if unicodedata.category(chr(code)) == "Cc":
+        for char in sorted(breaks | set(map(chr, range(0x200)))
+                           | {"\u2027", "\u202a"}):
+            data["name"] = f"a{char}b"
+            if unicodedata.category(char) == "Cc" or char in breaks:
                 with pytest.raises(SchemaError):
                     parse_scenario(data)
             else:
@@ -713,11 +735,16 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.stem
     )
+    @pytest.mark.filterwarnings("error")
     def test_readme_example_passes(self, path, capsys):
-        # at the default seed count; a rank decision within a decade
-        # of its threshold fails here under the warning filter
+        # at the shipped defaults, with every warning an error: a rank
+        # decision within a decade of its threshold fails here
         assert main(["verify", str(path), "--auto-rescale"]) == 0
-        assert "RESULT: PASS" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("seeds:")] == [
+            "seeds: 20   rank_tol: 1e-09"
+        ]
+        assert lines[-1] == "RESULT: PASS"
 
     def test_fully_spread_outside_case_conditions_still_passes(self, capsys):
         code = main(["verify", FULLY_SPREAD, "--seeds", "3"])
