@@ -10,13 +10,10 @@ stacking would corrupt corner-point equalities that must hold exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[Fraction, int, str, float]
-
-LOWER = Fraction(-1)
-UPPER = Fraction(1)
 
 
 class DomainError(ValueError):
@@ -88,50 +85,59 @@ def _merge(pairs: Iterable[tuple]) -> list[tuple]:
     return merged
 
 
+def _checked(intervals: Iterable[tuple[Rational, Rational]]) -> list[tuple]:
+    """The intervals as Fraction pairs, each checked, then ``_merge``d."""
+    cleaned = []
+    for lo, hi in intervals:
+        lo, hi = _frac(lo), _frac(hi)
+        if lo >= hi:
+            raise MalformedIntervalError(f"interval [{lo}, {hi}) has lo >= hi")
+        if lo < -1 or hi > 1:
+            raise DomainError(f"interval [{lo}, {hi}) leaves [-1, 1]")
+        cleaned.append((lo, hi))
+    return _merge(cleaned)
+
+
 class DirectionSet:
     """Canonical finite union of disjoint half-open intervals [lo, hi).
 
     Construction canonicalizes: intervals are sorted by lower endpoint and
-    overlapping or touching intervals are merged, so equal sets compare
-    equal structurally.  The empty set is an empty interval tuple.
+    overlapping or touching intervals are merged, then stored as integer
+    pairs over their least denominator, so equal sets compare equal
+    structurally; ``intervals`` gives them back as Fraction pairs.
     Instances are immutable and hashable; all operations are pure, so the
     type is safe to share across threads.
     """
 
-    __slots__ = ("intervals",)
+    __slots__ = ("_den", "_ends")
 
     def __init__(self, intervals: Iterable[tuple[Rational, Rational]] = ()):
-        cleaned = []
-        for lo, hi in intervals:
-            lo, hi = _frac(lo), _frac(hi)
-            if lo >= hi:
-                raise MalformedIntervalError(
-                    f"interval [{lo}, {hi}) has lo >= hi"
-                )
-            if lo < LOWER or hi > UPPER:
-                raise DomainError(f"interval [{lo}, {hi}) leaves [-1, 1]")
-            cleaned.append((lo, hi))
-        self.intervals = tuple(_merge(cleaned))
+        self._den, [ends] = scaled_endpoints([_checked(intervals)])
+        self._ends = tuple(ends)
 
     @classmethod
     def _from_scaled(
-        cls, pairs: Iterable[tuple[int, int]], den: int
+        cls, pairs: Sequence[tuple[int, int]], den: int
     ) -> "DirectionSet":
-        """The set of intervals [lo / den, hi / den) for integer pairs.
-
-        The pairs must already be canonical: sorted, with lo < hi, disjoint
-        and not touching, inside [-den, den].  Nothing is re-sorted or
-        re-checked.
-        """
+        """The set of intervals [lo / den, hi / den) for integer pairs,
+        which must already be canonical: sorted, lo < hi, disjoint and not
+        touching, inside [-den, den].  Nothing is re-sorted or re-checked;
+        their gcd with den is divided out, so the set is stored least."""
+        g = gcd(den, *(x for pair in pairs for x in pair))
         out = cls.__new__(cls)
-        out.intervals = tuple(
-            (Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs
-        )
+        out._den = den // g
+        out._ends = tuple((lo // g, hi // g) for lo, hi in pairs)
         return out
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The intervals as exact Fraction pairs, sorted and disjoint."""
+        return tuple((Fraction(lo, self._den), Fraction(hi, self._den))
+                     for lo, hi in self._ends)
 
     @classmethod
     def full(cls) -> "DirectionSet":
-        return cls([(LOWER, UPPER)])
+        return cls([(-1, 1)])
 
     @classmethod
     def from_angles(
@@ -162,36 +168,37 @@ class DirectionSet:
     # -- structural protocol -------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.intervals)
+        return bool(self._ends)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectionSet):
             return NotImplemented
-        return self.intervals == other.intervals
+        return self._den == other._den and self._ends == other._ends
 
     def __hash__(self) -> int:
-        return hash(self.intervals)
+        return hash((self._den, self._ends))
 
     def __repr__(self) -> str:
         body = ", ".join(f"({lo}, {hi})" for lo, hi in self.intervals)
         return f"DirectionSet([{body}])"
 
     def __contains__(self, x: Rational) -> bool:
-        x = _frac(x)
-        return any(lo <= x < hi for lo, hi in self.intervals)
+        x = _frac(x) * self._den
+        return any(lo <= x < hi for lo, hi in self._ends)
 
     # -- set algebra ---------------------------------------------------------
 
     def measure(self) -> Fraction:
         """Total width, in [0, 2]."""
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        return Fraction(sum(hi - lo for lo, hi in self._ends), self._den)
 
     def __or__(self, other: "DirectionSet") -> "DirectionSet":
-        return DirectionSet(self.intervals + other.intervals)
+        den, (a, b) = _common((self, other))
+        return DirectionSet._from_scaled(_merge(a + b), den)
 
     def __and__(self, other: "DirectionSet") -> "DirectionSet":
         out = []
-        a, b = self.intervals, other.intervals
+        den, (a, b) = _common((self, other))
         i = j = 0
         while i < len(a) and j < len(b):
             lo = max(a[i][0], b[j][0])
@@ -202,13 +209,14 @@ class DirectionSet:
                 i += 1
             else:
                 j += 1
-        return DirectionSet(out)
+        return DirectionSet._from_scaled(out, den)
 
     def __sub__(self, other: "DirectionSet") -> "DirectionSet":
         out = []
-        for lo, hi in self.intervals:
+        den, (mine, theirs) = _common((self, other))
+        for lo, hi in mine:
             cursor = lo
-            for blo, bhi in other.intervals:
+            for blo, bhi in theirs:
                 if bhi <= cursor:
                     continue
                 if blo >= hi:
@@ -220,15 +228,17 @@ class DirectionSet:
                     break
             if cursor < hi:
                 out.append((cursor, hi))
-        return DirectionSet(out)
+        return DirectionSet._from_scaled(out, den)
 
     def take_from_left(self, amount: Rational) -> "DirectionSet":
         """Leftmost subset with exactly the requested measure."""
         need = _frac(amount)
         if need < 0:
             raise ValueError("requested measure is negative")
+        den, [ends] = _common([self], need.denominator)
+        need = need.numerator * (den // need.denominator)
         out = []
-        for lo, hi in self.intervals:
+        for lo, hi in ends:
             if need == 0:
                 break
             width = min(hi - lo, need)
@@ -238,7 +248,18 @@ class DirectionSet:
             raise ValueError(
                 f"set of measure {self.measure()} cannot supply {amount}"
             )
-        return DirectionSet(out)
+        return DirectionSet._from_scaled(out, den)
+
+
+def _common(sets: Sequence[DirectionSet], den: int = 1) -> tuple:
+    """The lcm of den and the sets' denominators, and their pairs over it."""
+    den = lcm(den, *(ds._den for ds in sets))
+    pairs = []
+    for ds in sets:
+        m = den // ds._den
+        pairs.append(ds._ends if m == 1 else tuple(
+            (lo * m, hi * m) for lo, hi in ds._ends))
+    return den, pairs
 
 
 def scaled_endpoints(
@@ -246,18 +267,13 @@ def scaled_endpoints(
 ) -> tuple[int, list[list[tuple[int, int]]]]:
     """Every rational pair times the lcm ``den`` of all their denominators.
 
-    Takes sequences of exact rational pairs (a set's ``intervals``, or a
-    polygon's vertices) and returns ``den`` and, per sequence, its pairs as
-    integer pairs; dividing a pair by ``den`` gives back the exact one.
-    Exact algebra on the family then runs on plain integers.
+    Takes sequences of exact rational pairs (the intervals a set is built
+    from, or a record's caps and vertices) and returns ``den`` and, per
+    sequence, its pairs as integer pairs; dividing a pair by ``den`` gives
+    back the exact one.  Exact algebra then runs on plain integers.
     """
-    den = 1
-    for pairs in families:
-        for lo, hi in pairs:
-            if den % lo.denominator:
-                den = lcm(den, lo.denominator)
-            if den % hi.denominator:
-                den = lcm(den, hi.denominator)
+    den = lcm(*(x.denominator for pairs in families
+                for lo, hi in pairs for x in (lo, hi)))
     return den, [
         [
             (lo.numerator * (den // lo.denominator),
@@ -303,6 +319,6 @@ def refine(sets: Sequence[DirectionSet]) -> list[DirectionSet]:
     ``refine([a])`` returns a's connected components.  Atoms are pairwise
     disjoint and cover exactly the union of the inputs.
     """
-    den, scaled = scaled_endpoints([ds.intervals for ds in sets])
-    pieces, _ = integer_atoms(scaled)
+    den, pairs = _common(sets)
+    pieces, _ = integer_atoms(pairs)
     return [DirectionSet._from_scaled([atom], den) for atom in pieces]

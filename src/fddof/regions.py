@@ -13,13 +13,14 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from math import lcm
 from typing import NamedTuple
 
 from .intervals import (
     DirectionSet,
     DomainError,
     Rational,
+    _common,
     _frac,
     _merge,
     scaled_endpoints,
@@ -64,20 +65,17 @@ def _integer_form(g: ScatteringGeometry) -> tuple:
     """The geometry as integers: ``(den, scale, sets, lengths)``.
 
     ``sets`` holds t11, r11, t22, r22, t12, r12, each a tuple of endpoint
-    pairs over ``den``, the lcm of the endpoint denominators; ``lengths``
+    pairs over ``den``, the lcm of the sets' own denominators; ``lengths``
     holds l_t1, l_r1, l_t2, l_r2 over ``scale``, the lcm of theirs.  Both
     are least, so geometries are equal exactly when their forms are.
     """
-    den, sets = scaled_endpoints((
-        g.t11.intervals, g.r11.intervals, g.t22.intervals,
-        g.r22.intervals, g.t12.intervals, g.r12.intervals,
-    ))
+    den, sets = _common((g.t11, g.r11, g.t22, g.r22, g.t12, g.r12))
     L = g.lengths
-    # the four lengths as two pairs, scaled the way endpoints are
-    scale, [[(lt1, lr1), (lt2, lr2)]] = scaled_endpoints(
-        [[(L.l_t1, L.l_r1), (L.l_t2, L.l_r2)]]
+    lengths = L.l_t1, L.l_r1, L.l_t2, L.l_r2
+    scale = lcm(*(x.denominator for x in lengths))
+    return den, scale, tuple(sets), tuple(
+        x.numerator * (scale // x.denominator) for x in lengths
     )
-    return den, scale, tuple(map(tuple, sets)), (lt1, lr1, lt2, lr2)
 
 
 @dataclass(frozen=True)
@@ -133,19 +131,29 @@ class ScatteringGeometry:
         return replace(self, lengths=self.lengths.scaled(factor))
 
 
+def _record(cls, form: tuple, *fields):
+    """A ``cls`` record of these fields that keeps ``form``, the integers it
+    was decided on, and runs its checks on them: nothing is scaled."""
+    out = cls.__new__(cls)
+    out.__dict__.update(zip(cls.__dataclass_fields__, fields), _form=form)
+    out.__post_init__()
+    return out
+
+
 @dataclass(frozen=True)
 class CornerPoints:
     """The two corner points bracketing the sum facet: nonnegative, and
-    p'' neither right of nor below p'.  Coordinates are exact rationals
-    (ints or Fractions), checked as integers over one denominator."""
+    p'' neither right of nor below p'.  Coordinates are exact rationals,
+    checked as integers over one denominator: the ``_form`` it keeps."""
 
     p_prime: tuple[Fraction, Fraction]
     p_double_prime: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        _, [[(d1p, d2p), (d1pp, d2pp)]] = scaled_endpoints(
-            [(self.p_prime, self.p_double_prime)]
-        )
+        if "_form" not in self.__dict__:
+            pair = self.p_prime, self.p_double_prime
+            self.__dict__["_form"] = scaled_endpoints([pair])
+        _, [[(d1p, d2p), (d1pp, d2pp)]] = self._form
         if min(d1p, d2p, d1pp, d2pp) < 0:
             raise ValueError("corner coordinates must be nonnegative")
         if d1p < d1pp or d2p > d2pp:
@@ -162,8 +170,8 @@ class DofRegion:
     with unequal axis caps is not cap-form, so its dsum_cap records the
     largest vertex coordinate sum instead.
 
-    Caps and vertices are exact rationals (ints or Fractions); the checks
-    compare them as integers over one denominator.
+    Caps and vertices are exact rationals (ints or Fractions), checked as
+    integers over one denominator: the ``_form`` it keeps (``_record``).
     """
 
     d1_cap: Fraction
@@ -172,10 +180,10 @@ class DofRegion:
     vertices: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        caps = (self.d1_cap, self.d2_cap), (self.dsum_cap, 0)
-        _, [((d1, d2), (ds, _)), verts] = scaled_endpoints(
-            [caps, self.vertices]
-        )
+        if "_form" not in self.__dict__:
+            caps = (self.d1_cap, self.d2_cap), (self.dsum_cap, 0)
+            self.__dict__["_form"] = scaled_endpoints([caps, self.vertices])
+        _, [((d1, d2), (ds, _)), verts] = self._form
         for (x, y), (vx, vy) in zip(verts, self.vertices):
             if x < 0 or y < 0 or x > d1 or y > d2:
                 raise ValueError(f"vertex ({vx}, {vy}) violates the caps")
@@ -366,7 +374,8 @@ def corner_points(g: ScatteringGeometry) -> CornerPoints:
     k, a, b, c, d, e, f, p, q, r, s, u, v = link_products(g)
     d1_prime, d2_prime = _corner(a, b, d, e, f, p, q, r, u)
     d2_double, d1_double = _corner(d, c, a, f, e, r, s, p, v)
-    return CornerPoints(
+    return _record(
+        CornerPoints, (k, [[(d1_prime, d2_prime), (d1_double, d2_double)]]),
         (Fraction(d1_prime, k), Fraction(d2_prime, k)),
         (Fraction(d1_double, k), Fraction(d2_double, k)),
     )
@@ -393,7 +402,8 @@ def fd_region(g: ScatteringGeometry) -> DofRegion:
         verts.append((d1, d2))
     if d2 > 0 and (0, d2) != verts[-1]:
         verts.append((0, d2))
-    return DofRegion(*exact, tuple((value[x], value[y]) for x, y in verts))
+    return _record(DofRegion, (k, [((d1, d2), (ds, 0)), verts]), *exact,
+                   tuple((value[x], value[y]) for x, y in verts))
 
 
 def hd_region(g: ScatteringGeometry) -> DofRegion:
@@ -403,22 +413,25 @@ def hd_region(g: ScatteringGeometry) -> DofRegion:
     triangle on the two per-flow caps of fd_caps; there is no
     self-interference, so only the point-to-point caps matter.
     """
-    _, (d1, d2, _), (d1c, d2c, _) = _caps(g)
-    verts = [(_ZERO, _ZERO)]
-    if d1 > 0:
-        verts.append((d1c, _ZERO))
-    if d2 > 0:
-        verts.append((_ZERO, d2c))
-    return DofRegion(d1c, d2c, d1c if d1 >= d2 else d2c, tuple(verts))
+    k, (d1, d2, _), (d1c, d2c, _) = _caps(g)
+    value = {0: _ZERO, d1: d1c, d2: d2c}
+    verts = list(dict.fromkeys([(0, 0), (d1, 0), (0, d2)]))  # no repeats
+    ds = max(d1, d2)
+    return _record(DofRegion, (k, [((d1, d2), (ds, 0)), verts]), d1c, d2c,
+                   value[ds], tuple((value[x], value[y]) for x, y in verts))
 
 
 def region_relate(a: DofRegion, b: DofRegion) -> RegionRelation:
     """Exact polygon comparison of two regions.
 
-    Both vertex lists are scaled to integers over the lcm of all their
-    coordinate denominators, so the hull tests run on plain integers.
+    The hull tests run on the integer vertices both records keep, over
+    one denominator: the lcm of their two, when those differ.
     """
-    _, (va, vb) = scaled_endpoints((a.vertices, b.vertices))
+    (ka, [_, va]), (kb, [_, vb]) = a._form, b._form
+    if ka != kb:
+        k = lcm(ka, kb)
+        va = [(x * (k // ka), y * (k // ka)) for x, y in va]
+        vb = [(x * (k // kb), y * (k // kb)) for x, y in vb]
     a_in_b = all(_hull_contains(vb, x, y) for x, y in va)
     b_in_a = all(_hull_contains(va, x, y) for x, y in vb)
     if a_in_b and b_in_a:
@@ -445,10 +458,10 @@ def genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
     dimensions of the result equals dsum_max of the input.
     """
     L = g.lengths
-    given = [s.intervals for s in (g.t22, g.t12, g.r11, g.r12)]
-    # the two lengths ride along as one more pair, over the same den
-    den, scaled = scaled_endpoints((*given, [(L.l_t2, L.l_r1)]))
-    t22, t12, r11, r12, [(lt2, lr1)] = scaled
+    den, (t22, t12, r11, r12) = _common((g.t22, g.t12, g.r11, g.r12))
+    scale = lcm(L.l_t2.denominator, L.l_r1.denominator)
+    lt2, lr1 = (x.numerator * (scale // x.denominator)
+                for x in (L.l_t2, L.l_r1))
     t_union, r_union = _merge(t22 + t12), _merge(r11 + r12)
     if not t_union or not r_union:
         raise DegenerateGeometryError(
@@ -457,14 +470,10 @@ def genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
     # each array pays for the other side's private slack over its own
     # union width: |r11 - r12| = |r11 | r12| - |r12|, and likewise at T2
     tw, rw = _width(t_union), _width(r_union)
-    l_t2 = Fraction(lt2 * tw + lr1 * (rw - _width(r12)), den * tw)
-    l_r1 = Fraction(lr1 * rw + lt2 * (tw - _width(t12)), den * rw)
-    # every union endpoint is an input endpoint: reuse its Fraction
-    exact = dict(zip(chain.from_iterable(chain.from_iterable(scaled[:4])),
-                     chain.from_iterable(chain.from_iterable(given))))
-    t_set, r_set = (DirectionSet.__new__(DirectionSet) for _ in range(2))
-    for out, union in ((t_set, t_union), (r_set, r_union)):
-        out.intervals = tuple((exact[lo], exact[hi]) for lo, hi in union)
+    l_t2 = Fraction(lt2 * tw + lr1 * (rw - _width(r12)), scale * tw)
+    l_r1 = Fraction(lr1 * rw + lt2 * (tw - _width(t12)), scale * rw)
+    t_set = DirectionSet._from_scaled(t_union, den)
+    r_set = DirectionSet._from_scaled(r_union, den)
     return ScatteringGeometry(
         t11=g.t11,
         r11=r_set,

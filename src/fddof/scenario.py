@@ -20,7 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
 
-from .intervals import DirectionSet, DomainError, MalformedIntervalError
+from .intervals import (DirectionSet, DomainError, MalformedIntervalError,
+                        _checked)
 from .regions import ArrayHalfLengths, ScatteringGeometry, link_products
 
 _LENGTH_KEYS = ("l_t1", "l_r1", "l_t2", "l_r2")
@@ -146,15 +147,16 @@ def _section(
     return values
 
 
-def _direction_set(value: Any, path: str) -> DirectionSet:
+def _direction_set(value: Any, path: str) -> list[tuple[Fraction, Fraction]]:
+    """The set's checked, canonical Fraction pairs; nothing is scaled."""
     if isinstance(value, dict):
         _object(value, path, ("angles_deg",))
         if "angles_deg" not in value:
             raise SchemaError(path, "interval object needs 'angles_deg'")
         pairs = _pair_list(value["angles_deg"], f"{path}.angles_deg")
-        build = DirectionSet.from_angles
+        build = lambda pairs: DirectionSet.from_angles(pairs).intervals
     else:
-        pairs, build = _pair_list(value, path), DirectionSet
+        pairs, build = _pair_list(value, path), _checked
     try:
         return build(pairs)
     except (DomainError, MalformedIntervalError) as err:
@@ -187,18 +189,20 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         half_lengths = ArrayHalfLengths(**length_values)
     except DomainError as err:
         raise DomainError(f"lengths: {err}") from None
-    geometry = ScatteringGeometry(lengths=half_lengths, **sets)
     # k is a multiple of every denominator, so a running lcm past the budget
-    # refuses before link_products scales each endpoint by a huge k; under
-    # the budget, this call leaves the products in link_products's cache
-    # for the closed forms the CLI then takes of this geometry
-    endpoints = (x for ds in sets.values() for iv in ds.intervals for x in iv)
+    # refuses before a set or link_products scales endpoints by a huge k;
+    # under the budget, this call leaves the products in link_products's
+    # cache for the closed forms the CLI then takes of this geometry
+    endpoints = (x for pairs in sets.values() for iv in pairs for x in iv)
     k = 1
     for x in (*length_values.values(), *endpoints):
         k = math.lcm(k, x.denominator)
         if k.bit_length() > _MAX_DENOMINATOR_BITS:
             break
     else:
+        geometry = ScatteringGeometry(lengths=half_lengths, **{
+            key: DirectionSet(pairs) for key, pairs in sets.items()
+        })
         k = link_products(geometry).k
     if k.bit_length() > _MAX_DENOMINATOR_BITS:
         raise SchemaError(

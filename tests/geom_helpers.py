@@ -82,22 +82,91 @@ def random_symmetric_inputs(
     return length, fwd, back
 
 
+# -- a Fraction interval algebra of its own ------------------------------------
+#
+# On tuples of exact Fraction pairs (lo, hi), sorted, disjoint and not
+# touching, as ``DirectionSet.intervals`` gives them.  It shares no code with
+# ``fddof.intervals`` and no algorithm with it (each result is read off the
+# midpoints of the pieces between the inputs' endpoints), so the references
+# below do not rest on the algebra they check.
+
+def iv_contains(pairs, x) -> bool:
+    return any(lo <= x < hi for lo, hi in pairs)
+
+
+def iv_measure(pairs) -> Fraction:
+    return sum((hi - lo for lo, hi in pairs), Fraction(0))
+
+
+def _pieces(a, b, keep) -> tuple:
+    """The pieces between consecutive endpoints of ``a`` and ``b`` whose
+    midpoint's membership (in a, in b) satisfies ``keep``, touching pieces
+    joined."""
+    points = sorted({x for pair in (*a, *b) for x in pair})
+    out: list = []
+    for lo, hi in zip(points, points[1:]):
+        mid = (lo + hi) / 2
+        if not keep(iv_contains(a, mid), iv_contains(b, mid)):
+            continue
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def iv_union(a, b) -> tuple:
+    return _pieces(a, b, lambda x, y: x or y)
+
+
+def iv_intersection(a, b) -> tuple:
+    return _pieces(a, b, lambda x, y: x and y)
+
+
+def iv_difference(a, b) -> tuple:
+    return _pieces(a, b, lambda x, y: x and not y)
+
+
+# geometry id -> its reference products (None until first asked), for the
+# geometries of the fixed corpora below, which live as long as the session
+_CORPUS_PRODUCTS: dict[int, tuple | None] = {}
+
+
+def _fixed(corpus: list) -> list:
+    """Register a fixed corpus: ``reference_link_products`` then computes
+    each of its geometries' products once per session."""
+    _CORPUS_PRODUCTS.update((id(g), None) for g in corpus)
+    return corpus
+
+
 def reference_link_products(g: ScatteringGeometry) -> tuple[Fraction, ...]:
-    """The products a..v of ``link_products`` by DirectionSet algebra."""
+    """The products a..v of ``link_products`` by the Fraction interval
+    algebra above; once per session for a geometry of a fixed corpus."""
+    if id(g) not in _CORPUS_PRODUCTS:
+        return _reference_link_products(g)
+    if _CORPUS_PRODUCTS[id(g)] is None:
+        _CORPUS_PRODUCTS[id(g)] = _reference_link_products(g)
+    return _CORPUS_PRODUCTS[id(g)]
+
+
+def _reference_link_products(g: ScatteringGeometry) -> tuple[Fraction, ...]:
     L = g.lengths
+    t11, r11, t22, r22, t12, r12 = (
+        ds.intervals for ds in (g.t11, g.r11, g.t22, g.r22, g.t12, g.r12)
+    )
     return (
-        L.l_t1 * g.t11.measure(),
-        L.l_r1 * g.r11.measure(),
-        L.l_t2 * g.t22.measure(),
-        L.l_r2 * g.r22.measure(),
-        L.l_t2 * g.t12.measure(),
-        L.l_r1 * g.r12.measure(),
-        L.l_t2 * (g.t22 - g.t12).measure(),
-        L.l_t2 * (g.t22 & g.t12).measure(),
-        L.l_r1 * (g.r11 - g.r12).measure(),
-        L.l_r1 * (g.r11 & g.r12).measure(),
-        L.l_r1 * (g.r12 - g.r11).measure(),
-        L.l_t2 * (g.t12 - g.t22).measure(),
+        L.l_t1 * iv_measure(t11),
+        L.l_r1 * iv_measure(r11),
+        L.l_t2 * iv_measure(t22),
+        L.l_r2 * iv_measure(r22),
+        L.l_t2 * iv_measure(t12),
+        L.l_r1 * iv_measure(r12),
+        L.l_t2 * iv_measure(iv_difference(t22, t12)),
+        L.l_t2 * iv_measure(iv_intersection(t22, t12)),
+        L.l_r1 * iv_measure(iv_difference(r11, r12)),
+        L.l_r1 * iv_measure(iv_intersection(r11, r12)),
+        L.l_r1 * iv_measure(iv_difference(r12, r11)),
+        L.l_t2 * iv_measure(iv_difference(t12, t22)),
     )
 
 
@@ -192,23 +261,26 @@ def reference_region_relate(a: DofRegion, b: DofRegion) -> RegionRelation:
 
 
 def reference_genie_expand(g: ScatteringGeometry) -> ScatteringGeometry:
-    """``genie_expand`` by DirectionSet unions and Fraction measures."""
-    t_union = g.t22 | g.t12
-    r_union = g.r11 | g.r12
+    """``genie_expand`` by the Fraction interval algebra above."""
+    t22, t12, r11, r12 = (ds.intervals for ds in (g.t22, g.t12, g.r11, g.r12))
+    t_union, r_union = iv_union(t22, t12), iv_union(r11, r12)
     if not t_union or not r_union:
         raise DegenerateGeometryError(
             "expansion needs nonzero-measure scattering unions on both sides"
         )
     L = g.lengths
-    l_t2 = L.l_t2 + L.l_r1 * (g.r11 - g.r12).measure() / t_union.measure()
-    l_r1 = L.l_r1 + L.l_t2 * (g.t22 - g.t12).measure() / r_union.measure()
+    r_slack = iv_measure(iv_difference(r11, r12))
+    t_slack = iv_measure(iv_difference(t22, t12))
+    l_t2 = L.l_t2 + L.l_r1 * r_slack / iv_measure(t_union)
+    l_r1 = L.l_r1 + L.l_t2 * t_slack / iv_measure(r_union)
+    t_set, r_set = DirectionSet(t_union), DirectionSet(r_union)
     return ScatteringGeometry(
         t11=g.t11,
-        r11=r_union,
-        t22=t_union,
+        r11=r_set,
+        t22=t_set,
         r22=g.r22,
-        t12=t_union,
-        r12=r_union,
+        t12=t_set,
+        r12=r_set,
         lengths=ArrayHalfLengths(L.l_t1, l_r1, l_t2, L.l_r2),
     )
 
@@ -222,11 +294,12 @@ def fraction_endpoints(sets) -> bool:
 
 def reference_refine(sets) -> list[DirectionSet]:
     """``refine`` by sorting Fraction breakpoints and testing midpoints."""
-    points = sorted({p for ds in sets for iv in ds.intervals for p in iv})
+    families = [ds.intervals for ds in sets]
+    points = sorted({p for pairs in families for iv in pairs for p in iv})
     runs: list[list] = []
     for lo, hi in zip(points, points[1:]):
         mid = (lo + hi) / 2
-        signature = tuple(mid in ds for ds in sets)
+        signature = tuple(iv_contains(pairs, mid) for pairs in families)
         if not any(signature):
             continue
         if runs and runs[-1][1] == lo and runs[-1][2] == signature:
@@ -252,7 +325,8 @@ def reference_integer_scale(g: ScatteringGeometry) -> int:
     scale = 1
     for length, family in space_families(g).values():
         for atom in reference_refine(family):
-            scale = math.lcm(scale, (2 * length * atom.measure()).denominator)
+            dim = 2 * length * iv_measure(atom.intervals)
+            scale = math.lcm(scale, dim.denominator)
     return scale
 
 
@@ -265,7 +339,7 @@ def reference_allocation(g: ScatteringGeometry) -> dict:
     spaces = {}
     for label, (length, family) in space_families(g).items():
         atoms = tuple(reference_refine(family))
-        dims = [2 * length * atom.measure() for atom in atoms]
+        dims = [2 * length * iv_measure(atom.intervals) for atom in atoms]
         for atom, dim in zip(atoms, dims):
             if dim.denominator != 1:
                 raise QuantizationError(
@@ -277,9 +351,10 @@ def reference_allocation(g: ScatteringGeometry) -> dict:
 
 
 def reference_mask(atoms, dims, support: DirectionSet) -> np.ndarray:
-    """``SpaceAllocation.mask`` by DirectionSet differences: True per basis
-    function when its atom lies in ``support``."""
-    flags = [not (atom - support) for atom in atoms]
+    """``SpaceAllocation.mask`` by Fraction interval differences: True per
+    basis function when its atom lies in ``support``."""
+    flags = [not iv_difference(atom.intervals, support.intervals)
+             for atom in atoms]
     return np.repeat(np.asarray(flags, dtype=bool), dims)
 
 
@@ -419,7 +494,9 @@ def random_integral_case_geometry(
 def oracle_geometry_set():
     """Shared set of >=100 integral case geometries for the oracle criteria."""
     rng = random.Random(0xFDD0F)
-    return [random_integral_case_geometry(rng, max_dim=64) for _ in range(100)]
+    return _fixed(
+        [random_integral_case_geometry(rng, max_dim=64) for _ in range(100)]
+    )
 
 
 @functools.cache
@@ -432,14 +509,16 @@ def binding_geometry_set():
         g, _ = integer_rescale(_case_candidate(rng))
         if not is_rectangular(g) and 0 < max_space_dim(g) <= 64:
             out.append(g)
-    return out
+    return _fixed(out)
 
 
 @functools.cache
 def criterion_2_geometries():
     """The 10^4 geometries of acceptance criterion 2."""
     rng = random.Random(20260810)
-    return [random_geometry(rng, max_fragments=3, den=64) for _ in range(10_000)]
+    return _fixed(
+        [random_geometry(rng, max_fragments=3, den=64) for _ in range(10_000)]
+    )
 
 
 def random_integral_geometry(

@@ -1,6 +1,7 @@
 """Unit and property tests for the direction-set algebra."""
 
 import math
+import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction as F
@@ -10,14 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fddof import (
+    ArrayHalfLengths,
     DirectionSet,
     DomainError,
     MalformedIntervalError,
+    ScatteringGeometry,
     cos_degrees,
+    genie_expand,
     refine,
 )
 from fddof.intervals import _frac
-from geom_helpers import direction_sets, ds
+from geom_helpers import (
+    direction_sets,
+    ds,
+    fraction_endpoints,
+    iv_contains,
+    iv_difference,
+    iv_intersection,
+    iv_measure,
+    iv_union,
+)
 
 GRID = 64
 
@@ -25,6 +38,12 @@ GRID = 64
 def bitmap(d: DirectionSet):
     """Brute-force rasterization on the 1/GRID cell grid over [-1, 1]."""
     return [(F(2 * j + 1, 2 * GRID) - 1) in d for j in range(2 * GRID)]
+
+
+def pair_bitmap(pairs):
+    """``bitmap`` of a tuple of Fraction pairs, read without DirectionSet."""
+    return [iv_contains(pairs, F(2 * j + 1, 2 * GRID) - 1)
+            for j in range(2 * GRID)]
 
 
 # -- exact values ---------------------------------------------------------------
@@ -241,6 +260,89 @@ class TestOperations:
         taken = a.take_from_left(amount)
         assert taken.measure() == amount
         assert not (taken - a)
+
+
+# -- the tests' own Fraction interval algebra -----------------------------------
+
+class TestReferenceAlgebra:
+    """``geom_helpers``' Fraction interval algebra, which the Fraction
+    references of the closed forms and the oracle rest on, against the
+    bitmaps."""
+
+    @given(direction_sets(grid=GRID), direction_sets(grid=GRID))
+    def test_operations_match_the_bitmaps(self, a, b):
+        x, y, bits_a, bits_b = a.intervals, b.intervals, bitmap(a), bitmap(b)
+        for got, want in (
+            (iv_union(x, y), [p or q for p, q in zip(bits_a, bits_b)]),
+            (iv_intersection(x, y), [p and q for p, q in zip(bits_a, bits_b)]),
+            (iv_difference(x, y), [p and not q for p, q in zip(bits_a, bits_b)]),
+        ):
+            assert pair_bitmap(got) == want
+            assert DirectionSet(got).intervals == got  # canonical
+        assert pair_bitmap(x) == bits_a
+        assert iv_measure(x) == F(sum(bits_a), GRID)
+
+
+# -- representation ---------------------------------------------------------------
+
+class TestRepresentation:
+    """A set is stored over its least denominator, so equal sets compare
+    equal and hash alike however they were computed."""
+
+    def test_equal_literals_over_different_denominators(self):
+        assert ds((0, "1/2")) == ds((0, "2/4"))
+        assert hash(ds((0, "1/2"))) == hash(ds((0, "2/4")))
+        assert ds((F(-3, 6), F(4, 4))) == ds((F(-1, 2), 1))
+
+    # each result is computed over a denominator of 6 and has a least
+    # denominator of 2 or 3
+    @pytest.mark.parametrize("got,want", [
+        (ds((0, F(1, 3))) | ds((F(1, 3), F(1, 2))), ds((0, F(1, 2)))),
+        (ds((0, F(1, 3)), (F(1, 2), 1)) & ds((F(1, 2), 1)), ds((F(1, 2), 1))),
+        (ds((0, F(1, 3)), (F(1, 2), 1)) - ds((0, F(1, 3))), ds((F(1, 2), 1))),
+        (ds((0, F(1, 2))) - ds((F(1, 3), F(1, 2))), ds((0, F(1, 3)))),
+        (ds((F(-1, 2), F(1, 3))).take_from_left(F(1, 2)), ds((F(-1, 2), 0))),
+        (ds((F(-1, 3), F(1, 2))).take_from_left(F(1, 3)), ds((F(-1, 3), 0))),
+        (refine([ds((0, F(1, 2))), ds((F(1, 3), F(2, 3)))])[0],
+         ds((0, F(1, 3)))),
+        (refine([ds((0, 1)), ds((F(1, 6), F(1, 2)))])[2], ds((F(1, 2), 1))),
+    ], ids=["union", "intersection", "difference", "difference-2",
+            "take", "take-2", "refine", "refine-2"])
+    def test_computed_results_equal_built_sets(self, got, want):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.intervals == want.intervals
+        assert fraction_endpoints([got])
+
+    def test_genie_expand_unions_equal_built_sets(self):
+        # each union is computed over the lcm 6 of its parts' denominators
+        # and is [0, 1/2) or [-1/2, 1/2)
+        left, right = ds((0, F(1, 3))), ds((F(1, 3), F(1, 2)))
+        g = ScatteringGeometry(
+            t11=ds((0, 1)), r11=ds((F(-1, 2), F(1, 3))), t22=left,
+            r22=ds((0, 1)), t12=right, r12=ds((F(1, 3), F(1, 2))),
+            lengths=ArrayHalfLengths(1, 1, 1, 1),
+        )
+        expanded = genie_expand(g)
+        for got, want in ((expanded.t22, ds((0, F(1, 2)))),
+                          (expanded.r11, ds((F(-1, 2), F(1, 2))))):
+            assert got == want and hash(got) == hash(want)
+            assert got.intervals == want.intervals
+        assert fraction_endpoints([expanded.t22, expanded.r11])
+
+    @given(direction_sets(grid=GRID))
+    def test_intervals_are_exact_fractions(self, a):
+        assert fraction_endpoints([a])
+        assert DirectionSet(a.intervals) == a
+
+    @pytest.mark.parametrize("d", [
+        DirectionSet(), DirectionSet.full(), ds((F(-1, 3), F(1, 7)), (F(1, 2), 1)),
+    ], ids=["empty", "full", "two-intervals"])
+    def test_pickle_round_trip(self, d):
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and hash(back) == hash(d)
+        assert back.intervals == d.intervals
+        assert back | d == d
 
 
 # -- refinement ---------------------------------------------------------------

@@ -116,8 +116,9 @@ class TestLinkProducts:
             assert twin is not g and twin == g
             lp = link_products(twin)
             assert link_products.cache_info()[:2] == (1, 1)  # hits, misses
+            # the twin is a deep copy, so g's reference is the twin's
             assert tuple(F(x, lp.k) for x in lp[1:]) == (
-                reference_link_products(twin)
+                reference_link_products(g)
             )
 
     def test_threads_sharing_one_fresh_geometry_agree(self):
@@ -618,10 +619,22 @@ def assert_closed_forms_match_reference(g):
     d1, d2, dsum = caps
     assert is_rectangular(g) is (dsum >= d1 + d2)
     a, b, c, d, e, f, p, q, r, s, u, v = reference_link_products(g)
-    assert corner_points(g) == CornerPoints(
+    corners = corner_points(g)
+    assert corners == CornerPoints(
         _corner(a, b, d, e, f, p, q, r, u),
         _corner(d, c, a, f, e, r, s, p, v)[::-1],
     )
+    # each record keeps the integers it was decided on, over one k
+    k, [pair] = corners._form
+    assert tuple((F(x, k), F(y, k)) for x, y in pair) == (
+        corners.p_prime, corners.p_double_prime
+    )
+    for region in (fd, hd):
+        k, [((d1, d2), (ds, _)), verts] = region._form
+        assert (F(d1, k), F(d2, k), F(ds, k)) == (
+            region.d1_cap, region.d2_cap, region.dsum_cap
+        )
+        assert tuple((F(x, k), F(y, k)) for x, y in verts) == region.vertices
     try:
         want = reference_genie_expand(g)
     except DegenerateGeometryError:
@@ -705,6 +718,8 @@ class TestComparisonAgainstReference:
         hd, fd = hd_region(g), fd_region(g)
         assert_comparison_matches_reference(hd, fd)
         assert_comparison_matches_reference(fd, fd_region(h))
+        # a record the closed forms built against one built from Fractions
+        assert_comparison_matches_reference(hd, cap_region(*fd_caps(h)))
 
     @given(cap_regions(), cap_regions())
     @example(cap_region(2, 0, 2), cap_region(0, 2, 2))

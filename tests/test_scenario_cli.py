@@ -74,6 +74,17 @@ def spread_intervals(dens, step=F(1, 8)):
     ]
 
 
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh ``python -m fddof.cli`` process that
+    imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def base_scenario_dict():
     return {
         "name": "base",
@@ -553,14 +564,23 @@ class TestExitCodes:
         data = base_scenario_dict()
         data["intervals"]["t11"] = spread_intervals(dens[:32])
         data["intervals"]["r11"] = spread_intervals(dens[32:])
-        path = write_json(tmp_path, data)
-        start = time.perf_counter()
-        code = main([command, path])
-        assert time.perf_counter() - start < 1
-        assert code == 3
-        captured = capsys.readouterr()
-        assert "common denominator" in captured.err
-        assert "Traceback" not in captured.err + captured.out
+        # the symmetric scenario with 2000 intervals in t11, over 4000
+        # distinct denominators of about 290 digits: scaling the endpoints
+        # to integers over their lcm, as a set stores them, takes minutes,
+        # so the budget must refuse before any set is built
+        many = json.loads(Path(SYMMETRIC).read_text(encoding="utf-8"))
+        many["intervals"]["t11"] = spread_intervals(
+            [1 + i * 10**287 for i in range(1, 4001)], step=F(1, 1000)
+        )
+        for i, scenario in enumerate((data, many)):
+            path = write_json(tmp_path, scenario, name=f"long{i}.json")
+            start = time.perf_counter()
+            code = main([command, path])
+            assert time.perf_counter() - start < 1
+            assert code == 3
+            captured = capsys.readouterr()
+            assert "common denominator" in captured.err
+            assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize("command", ["region", "compare", "sweep"])
     def test_values_just_inside_the_denominator_budget_print(self, tmp_path,
@@ -746,6 +766,22 @@ class TestVerifyCommand:
         ]
         assert lines[-1] == "RESULT: PASS"
 
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_readme_example_passes_in_a_fresh_process(self, path):
+        # -W error from interpreter start: a warning raised while numpy or
+        # mpmath is first imported fails here, where the test above, in a
+        # process that has imported both already, cannot see it
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fddof.cli", "verify",
+             str(path), "--auto-rescale"],
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[-1] == "RESULT: PASS"
+        assert done.stderr == ""
+
     def test_fully_spread_outside_case_conditions_still_passes(self, capsys):
         code = main(["verify", FULLY_SPREAD, "--seeds", "3"])
         out = capsys.readouterr().out
@@ -796,16 +832,10 @@ class TestRunSettings:
 def test_module_entry_point_runs_main(capsys):
     """``python -m fddof.cli`` goes through ``cli.run``, the function the
     ``fddof`` console script calls."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")])
-    )
-
     def run(*argv):
         return subprocess.run(
             [sys.executable, "-m", "fddof.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=fresh_env(), timeout=60,
         )
 
     done = run("region", EMPTY_BACK)
@@ -826,14 +856,10 @@ def test_entry_point_escapes_what_the_terminal_cannot_encode(tmp_path):
     data["name"] = "na\u00efve-\u540d"
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONIOENCODING="ascii")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")])
-    )
     done = subprocess.run(
         [sys.executable, "-m", "fddof.cli", "region", str(path)],
-        capture_output=True, env=env, timeout=60,
+        capture_output=True, env=fresh_env(PYTHONIOENCODING="ascii"),
+        timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.startswith(b"scenario: na\\xefve-\\u540d\n")
