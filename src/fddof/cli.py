@@ -31,10 +31,10 @@ from .oracle import (
     LEAKAGE_TOL,
     DimensionBudgetError,
     QuantizationError,
+    _channels,
     _plan,
     check_dimension_budget,
     integer_rescale,
-    sample_channel,
     verify_operator_dims,
     zero_forcing_corner,
     zf_case_applies,
@@ -66,10 +66,10 @@ DEFAULT_GRID = "1,3/4,1/2,1/4,0"
 
 DEFAULT_SEEDS = 20
 
-# Most oracle seeds one verify run takes.  Wall budget: two minutes.  One
-# seed (sample, rank checks, zero forcing) costs 5-10 ms on the checked-in
-# scenarios scaled to 64-80 basis functions per space (2-core Xeon, numpy
-# 2.4), so 2 min / 10 ms = 12000 seeds, rounded down.
+# Most oracle seeds one verify run takes: at 1-5 ms a seed (draw, factors,
+# rank checks, zero forcing) at reference speed, with every space 64-80
+# basis functions wide (--seeds 100, one BLAS thread, 2-core Xeon, numpy
+# 2.4), 10000 seeds take about 50 s, within a two-minute wall budget.
 MAX_SEEDS = 10_000
 
 
@@ -285,10 +285,11 @@ def cmd_verify(args) -> int:
         f"{name:<7}" for name in ("rank11", "rank12", "rank22", "null12", "codim11")
     )
     print(f"seed  {header_cells}  {'zf(d1,d2)':<10} leakage    status")
-    for seed in range(args.seeds):
-        ch = sample_channel(g, seed)
-        report = verify_operator_dims(ch, g)
-        zf = zero_forcing_corner(ch, g)
+    channels = _channels(g, range(args.seeds))
+    # unlike a loop variable, map holds no channel while it draws the next
+    checks = map(lambda ch: (verify_operator_dims(ch, g),
+                             zero_forcing_corner(ch, g)), channels)
+    for seed, (report, zf) in enumerate(checks):
         rank_tuples.add(tuple(c.observed for c in report.checks))
 
         zf_ok = zf.d1 == target.p_prime[0] and zf.max_leakage <= LEAKAGE_TOL

@@ -15,12 +15,11 @@ The zero-forcing corner gives flow 2 the transmit subspace ker(U1^H s12),
 where U1 is an orthonormal basis of range(s11).  Its rank threshold is
 relative to the spectral norm of s12.
 
-A channel factors s11 and s12 once, on first use, and both checks read
-those factors; its matrices are read-only, so the factors cannot go
-stale.  Per-geometry facts (each operator's shape and supported rows and
-columns, and, cached in ``regions``, the link products) are computed once
-per geometry, not once per seed; a channel's shapes are checked against
-the plan of the geometry it records.
+Seeds are drawn and factored as stacks, one SVD per operator per chunk;
+each channel is read-only and keeps its slice of the factors, which both
+checks read.  Per-geometry facts (each operator's shape and supported rows
+and columns, and the link products cached in ``regions``) are computed
+once per geometry; a channel's shapes are checked against its plan.
 """
 
 from __future__ import annotations
@@ -43,15 +42,17 @@ DEFAULT_RANK_TOL = 1e-9
 LEAKAGE_TOL = 1e-8
 
 # Largest signal space the oracle will sample, in basis functions.  Each of
-# the three channel matrices, and the cached left singular vectors of s11,
-# is at most this square in complex128, so a live channel holds at most
-# 4 * 2048**2 * 16 B = 256 MiB.  The per-geometry plan cache keeps at most
-# 128 plans of 6 read-only index arrays of at most this length in int64,
-# plus three shape tuples, so at most 128 * 6 * 2048 * 8 B = 12 MiB of
-# arrays.  The plan holds no link products: those sit in
-# regions.link_products's own cache, which, like the plan's, keeps at most
-# 128 geometries alive.
+# the three channel matrices, and the left singular vectors of s11, is at
+# most this square in complex128, so a live channel holds at most
+# 4 * 2048**2 * 16 B = 256 MiB; a chunk of seeds drawn together holds more
+# (stacks of those and the draws) only within _CHUNK_BYTES, 1 MiB.  The
+# per-geometry plan cache keeps at most 128 plans of 6 read-only index
+# arrays of at most this length in int64, plus three shape tuples, so at
+# most 128 * 6 * 2048 * 8 B = 12 MiB of arrays.  The plan holds no link
+# products: those sit in regions.link_products's own cache, which, like
+# the plan's, keeps at most 128 geometries alive.
 MAX_SPACE_DIM = 2048
+_CHUNK_BYTES = 1 << 20
 
 
 class QuantizationError(ValueError):
@@ -119,12 +120,12 @@ def _rank(svals: np.ndarray, rank_tol: float, scale: float | None = None) -> int
 
 
 def _svals(matrix: np.ndarray) -> np.ndarray:
-    """Singular values of ``matrix``, descending; none, and no LAPACK call,
-    for an empty one."""
+    """Singular values of ``matrix``, or of each matrix of a stack,
+    descending; none, and no LAPACK call, for empty ones."""
     import numpy as np
 
     if matrix.size == 0:
-        return np.zeros(0)
+        return np.zeros((*matrix.shape[:-2], 0))
     return np.linalg.svd(matrix, compute_uv=False)
 
 
@@ -239,7 +240,7 @@ class DiscretizedChannel:
     are structurally zero.  Deterministic given (geometry, seed), and
     records that geometry; construction refuses matrices whose shapes
     differ from the ones ``_plan`` gives that geometry, and marks the
-    matrices read-only so that the factors cached on first use stay theirs.
+    matrices read-only so that their factors stay theirs.
     """
 
     s11: np.ndarray
@@ -258,26 +259,10 @@ class DiscretizedChannel:
             mat.flags.writeable = False
 
     @cached_property
-    def _svd11(self) -> tuple[np.ndarray, np.ndarray]:
-        """U and the singular values of the thin SVD of s11; empty
-        factors, and no LAPACK call, for an empty s11."""
-        import numpy as np
-
-        if self.s11.size == 0:
-            rows = self.s11.shape[0]
-            return np.zeros((rows, 0), dtype=np.complex128), np.zeros(0)
-        u, sv, _ = np.linalg.svd(self.s11, full_matrices=False)
-        return u, sv
-
-    @cached_property
-    def _sv12(self) -> np.ndarray:
-        """The singular values of s12."""
-        return _svals(self.s12)
-
-    @cached_property
-    def _sv22(self) -> np.ndarray:
-        """The singular values of s22."""
-        return _svals(self.s22)
+    def _factors(self) -> tuple[np.ndarray, ...]:
+        """``_factor`` on a stack of one, unless ``_sampled`` set it."""
+        stacks = _factor(self.s11[None], self.s12[None], self.s22[None])
+        return tuple(f[0] for f in stacks)
 
 
 @lru_cache(maxsize=128)
@@ -309,15 +294,61 @@ def _plan(g: ScatteringGeometry):
     return tuple(plan)
 
 
-def _sample_block(rng, shape, rows, cols):
+def _chunk_seeds(plan) -> int:
+    """Seeds per chunk: as many as keep the stacks of the three matrices, U
+    of s11 and each block's draws within _CHUNK_BYTES, and at least one."""
+    (rows, cols), _, _ = plan[0]
+    entries = rows * min(rows, cols) + sum(
+        r * c + rs.size * cs.size for (r, c), rs, cs in plan)
+    return max(1, _CHUNK_BYTES // (16 * entries or 1))
+
+
+def _factor(s11, s12, s22) -> tuple[np.ndarray, ...]:
+    """U and singular values of each s11's thin SVD, and those of s12 and
+    s22: one LAPACK call per stack, and none for an empty one."""
     import numpy as np
 
-    out = np.zeros(shape, dtype=np.complex128)
-    if rows.size and cols.size:
-        size = (rows.size, cols.size)
-        block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        out[np.ix_(rows, cols)] = block / np.sqrt(2)
-    return out
+    if s11.size:
+        u11, sv11, _ = np.linalg.svd(s11, full_matrices=False)
+    else:
+        u11, sv11 = np.zeros((*s11.shape[:-1], 0), np.complex128), _svals(s11)
+    return u11, sv11, _svals(s12), _svals(s22)
+
+
+def _sampled(g: ScatteringGeometry, plan, seeds) -> list[DiscretizedChannel]:
+    """One chunk of ``seeds``: each seed's generator fills one row of draws,
+    the real, then the imaginary part of each supported block, s11's first."""
+    import numpy as np
+
+    blocks = [(rows.size, cols.size) for _, rows, cols in plan]
+    draws = np.empty((len(seeds), 2 * sum(r * c for r, c in blocks)))
+    for i, seed in enumerate(seeds):
+        if draws.size:  # no generator when there is nothing to draw
+            np.random.default_rng(seed).standard_normal(out=draws[i])
+    stacks, at = [], 0
+    for (shape, rows, cols), (r, c) in zip(plan, blocks):
+        stacks.append(np.zeros((len(seeds), *shape), dtype=np.complex128))
+        if r * c:
+            parts = draws[:, at:at + 2 * r * c].reshape(-1, 2, r, c)
+            stacks[-1][:, rows[:, None], cols] = (
+                parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2)
+            at += 2 * r * c
+    draws = parts = None  # not live while the chunk is factored
+    (s11, s12, s22), (u11, sv11, sv12, sv22) = stacks, _factor(*stacks)
+    channels = []
+    for i in range(len(seeds)):
+        channels.append(DiscretizedChannel(s11[i], s12[i], s22[i], g))
+        vars(channels[-1])["_factors"] = (u11[i], sv11[i], sv12[i], sv22[i])
+    return channels
+
+
+def _channels(g: ScatteringGeometry, seeds):
+    """The channels of ``g`` for ``seeds``, ``_sampled`` a chunk at a time:
+    read-only views of the chunk's stacks, with slices of its factors."""
+    plan = _plan(g)
+    size = _chunk_seeds(plan)
+    for start in range(0, len(seeds), size):
+        yield from _sampled(g, plan, seeds[start:start + size])
 
 
 def _check_geometry(ch: DiscretizedChannel, g: ScatteringGeometry) -> None:
@@ -341,19 +372,13 @@ def check_dimension_budget(g: ScatteringGeometry) -> None:
 
 
 def sample_channel(g: ScatteringGeometry, seed: int) -> DiscretizedChannel:
-    """Draw the three block-supported matrices for an integral geometry.
-
-    The matrices are drawn in a fixed order from one generator, so a given
-    seed reproduces them bit for bit.  Before anything is allocated, raises
-    DimensionBudgetError when a space exceeds MAX_SPACE_DIM, and otherwise
-    QuantizationError when an atom dimension is non-integral.
+    """Draw and factor the three block-supported matrices for an integral
+    geometry: ``_sampled`` on one seed, so a seed reproduces them bit for
+    bit.  Before anything is allocated, raises DimensionBudgetError when a
+    space exceeds MAX_SPACE_DIM, and otherwise QuantizationError when an
+    atom dimension is non-integral.
     """
-    plan = _plan(g)
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    s11, s12, s22 = (_sample_block(rng, *step) for step in plan)
-    return DiscretizedChannel(s11, s12, s22, g)
+    return _sampled(g, _plan(g), (seed,))[0]
 
 
 def corrupt_support(
@@ -426,9 +451,10 @@ def verify_operator_dims(
     _check_geometry(ch, g)
     k, a, b, c, d, e, f, p, _, _, _, u, _ = link_products(g)
     tol = ch.rank_tol
-    rank11 = _rank(ch._svd11[1], tol)
-    rank12 = _rank(ch._sv12, tol)
-    rank22 = _rank(ch._sv22, tol)
+    _, sv11, sv12, sv22 = ch._factors
+    rank11 = _rank(sv11, tol)
+    rank12 = _rank(sv12, tol)
+    rank22 = _rank(sv22, tol)
 
     exp_rank11 = _as_int(2 * min(a, b), k)
     exp_rank12 = _as_int(2 * min(e, f), k)
@@ -469,7 +495,7 @@ def zero_forcing_corner(
     d2 is the rank of s22 restricted to P, which caps it by the downlink
     receive dimension automatically.  When d1 = 0 there is nothing to
     miss: P is the whole transmit space, d2 = rank(s22), and no SVD runs
-    beyond the channel's cached ones.
+    beyond the channel's own factors.
 
     The leakage figure is measured, not read back from the singular
     values: the largest column norm of U1^H s12 P, relative to the
@@ -481,18 +507,18 @@ def zero_forcing_corner(
 
     _check_geometry(ch, g)
     tol = ch.rank_tol
-    u11, sv11 = ch._svd11
+    u11, sv11, sv12, sv22 = ch._factors
     d1 = _rank(sv11, tol)
     if not d1:
         # nothing to miss: P is the whole transmit space and s22 P is s22
         return ZeroForcingResult(
-            d1=0, d2=_rank(ch._sv22, tol), p12_dim=ch.s12.shape[1],
+            d1=0, d2=_rank(sv22, tol), p12_dim=ch.s12.shape[1],
             max_leakage=0.0,
         )
     # the interference flow 2 deposits on flow 1's receive space
     m = u11[:, :d1].conj().T @ ch.s12
     # relative to s12 itself: m may hold nothing but round-off
-    norm12 = ch._sv12.max(initial=0.0)
+    norm12 = sv12.max(initial=0.0)
     _, svm, vmh = np.linalg.svd(m)
     p12 = vmh[_rank(svm, tol, norm12):, :].conj().T
     d2 = _rank(_svals(ch.s22 @ p12), tol)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .intervals import (DirectionSet, DomainError, MalformedIntervalError,
-                        _checked)
+                        _checked, scaled_endpoints)
 from .regions import ArrayHalfLengths, ScatteringGeometry, link_products
 
 _LENGTH_KEYS = ("l_t1", "l_r1", "l_t2", "l_r2")
@@ -200,8 +200,10 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         if k.bit_length() > _MAX_DENOMINATOR_BITS:
             break
     else:
+        den, ends = scaled_endpoints(list(sets.values()))
         geometry = ScatteringGeometry(lengths=half_lengths, **{
-            key: DirectionSet(pairs) for key, pairs in sets.items()
+            key: DirectionSet._from_scaled(pairs, den)
+            for key, pairs in zip(sets, ends)
         })
         k = link_products(geometry).k
     if k.bit_length() > _MAX_DENOMINATOR_BITS:

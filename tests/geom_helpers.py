@@ -358,6 +358,42 @@ def reference_mask(atoms, dims, support: DirectionSet) -> np.ndarray:
     return np.repeat(np.asarray(flags, dtype=bool), dims)
 
 
+def reference_channel(g: ScatteringGeometry, seed: int) -> DiscretizedChannel:
+    """``sample_channel`` one seed and one matrix at a time, with supports
+    from the Fraction references: per operator ``np.zeros``, two
+    ``standard_normal(size)`` calls and ``np.ix_``, then one
+    ``np.linalg.svd`` per matrix for the channel's factors."""
+    spaces = reference_allocation(g)
+    rng = np.random.default_rng(seed)
+    mats = []
+    for (rows, r_set), (cols, c_set) in (
+        (("r1", g.r11), ("t1", g.t11)),
+        (("r1", g.r12), ("t2", g.t12)),
+        (("r2", g.r22), ("t2", g.t22)),
+    ):
+        r_mask = reference_mask(*spaces[rows], r_set)
+        c_mask = reference_mask(*spaces[cols], c_set)
+        out = np.zeros((r_mask.size, c_mask.size), dtype=np.complex128)
+        if r_mask.any() and c_mask.any():
+            size = (r_mask.sum(), c_mask.sum())
+            block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            out[np.ix_(np.flatnonzero(r_mask), np.flatnonzero(c_mask))] = (
+                block / np.sqrt(2)
+            )
+        mats.append(out)
+    s11, s12, s22 = mats
+    if s11.size:
+        u11, sv11, _ = np.linalg.svd(s11, full_matrices=False)
+    else:
+        u11, sv11 = np.zeros((s11.shape[0], 0), dtype=np.complex128), np.zeros(0)
+    svals = [np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+             for m in (s12, s22)]
+    ch = DiscretizedChannel(s11, s12, s22, g)
+    # what the channel's factoring would store, computed here instead
+    vars(ch)["_factors"] = (u11, sv11, *svals)
+    return ch
+
+
 def _count(svals: np.ndarray, rank_tol: float) -> int:
     """Singular values above rank_tol relative to the largest, silently."""
     if svals.size == 0 or float(svals[0]) == 0.0:

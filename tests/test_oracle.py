@@ -35,9 +35,13 @@ from fddof import (
     zero_forcing_corner,
     zf_case_applies,
 )
+from fddof import oracle
+from fddof.cli import DEFAULT_SEEDS
 from fddof.oracle import (
     DEFAULT_RANK_TOL,
     MAX_SPACE_DIM,
+    _channels,
+    _chunk_seeds,
     _plan,
     check_dimension_budget,
 )
@@ -52,6 +56,7 @@ from geom_helpers import (
     random_integral_case_geometry,
     random_integral_geometry,
     reference_allocation,
+    reference_channel,
     reference_integer_scale,
     reference_link_products,
     reference_mask,
@@ -270,6 +275,125 @@ class TestChannelFactors:
         bad = corrupt_support(ch, g)
         by_name = {c.name: c.observed for c in verify_operator_dims(bad, g).checks}
         assert (by_name["rank(s11)"], by_name["rank(s12)"]) == (4, 3)
+
+
+def scenario_geometry(stem):
+    """A checked-in scenario, integer-rescaled as ``verify --auto-rescale``
+    does."""
+    return integer_rescale(load_scenario(SCENARIOS / f"{stem}.json").geometry)[0]
+
+
+def assert_matches_reference_channels(channels, g, seeds):
+    """Each channel, drawn and factored in a stack, against
+    ``reference_channel``: equal bytes, factors, ranks and leakage."""
+    channels = list(channels)
+    assert len(channels) == len(seeds)
+    for ch, seed in zip(channels, seeds):
+        ref = reference_channel(g, seed)
+        for name in ("s11", "s12", "s22"):
+            assert getattr(ch, name).tobytes() == getattr(ref, name).tobytes()
+        for ours, theirs in zip(ch._factors, ref._factors):
+            assert ours.shape == theirs.shape, (seed, g)
+            assert ours.tobytes() == theirs.tobytes(), (seed, g)
+        assert ([c.observed for c in verify_operator_dims(ch, g).checks]
+                == [c.observed for c in verify_operator_dims(ref, g).checks])
+        ours, theirs = zero_forcing_corner(ch, g), zero_forcing_corner(ref, g)
+        assert (ours.d1, ours.d2, ours.p12_dim) == (
+            theirs.d1, theirs.d2, theirs.p12_dim)
+        assert float.hex(ours.max_leakage) == float.hex(theirs.max_leakage)
+
+
+class TestStackedDraw:
+    def test_scenarios_as_one_stack_of_20_seeds(self):
+        for path in sorted(SCENARIOS.glob("*.json")):
+            g = scenario_geometry(path.stem)
+            assert _chunk_seeds(_plan(g)) >= 20
+            assert_matches_reference_channels(
+                _channels(g, range(20)), g, range(20))
+
+    def test_empty_backscatter_keeps_its_zero_s12(self):
+        g = scenario_geometry("empty_backscatter")
+        (_, _, _), (shape, rows, cols), _ = _plan(g)
+        assert shape == (2, 2) and rows.size == cols.size == 0
+        channels = list(_channels(g, range(3)))
+        assert not any(ch.s12.any() for ch in channels)
+        assert_matches_reference_channels(channels, g, range(3))
+
+    def test_acceptance_cases_in_stacks_and_one_seed_at_a_time(self):
+        for g in oracle_geometry_set()[:30]:
+            assert_matches_reference_channels(
+                _channels(g, range(4)), g, range(4))
+            assert_matches_reference_channels([sample_channel(g, 9)], g, [9])
+
+    def test_chunks_crossing_a_boundary(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_chunk_seeds", lambda plan: 7)
+        for stem in ("fully_spread_bs2_usr1", "symmetric_overlap_075"):
+            g = scenario_geometry(stem)
+            assert_matches_reference_channels(
+                _channels(g, range(20)), g, range(20))
+
+    def test_large_scenarios(self):
+        for stem, scale in LARGE_SCALES.items():
+            g = load_scenario(SCENARIOS / f"{stem}.json").geometry.scaled(scale)
+            assert_matches_reference_channels(
+                _channels(g, range(3)), g, range(3))
+
+
+def live_chunk_bytes(plan, seeds):
+    """What a chunk of ``seeds`` holds: per seed, the three complex
+    matrices, U of s11, and the float real and imaginary draws of each
+    operator's supported block."""
+    (rows, cols), _, _ = plan[0]
+    per_seed = 16 * rows * min(rows, cols)
+    for (r, c), support_rows, support_cols in plan:
+        per_seed += 16 * r * c + 2 * 8 * support_rows.size * support_cols.size
+    return seeds * per_seed
+
+
+class TestChunkRule:
+    """``_chunk_seeds`` reads only the plan and allocates nothing."""
+
+    def chunk_seeds(self, g, monkeypatch):
+        plan = _plan(g)
+        with monkeypatch.context() as patched:
+            for name in ("zeros", "empty", "repeat", "flatnonzero"):
+                patched.setattr(np, name, self.refuse)
+            seeds = _chunk_seeds(plan)
+        assert seeds >= 1
+        # as many seeds as fit, never more; a channel of empty matrices
+        # holds nothing
+        if seeds > 1:
+            assert live_chunk_bytes(plan, seeds) <= oracle._CHUNK_BYTES
+        if live_chunk_bytes(plan, 1):
+            assert live_chunk_bytes(plan, seeds + 1) > oracle._CHUNK_BYTES
+        return seeds
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated an array")
+
+    def test_spaces_at_the_budget_take_one_seed(self, monkeypatch):
+        g = make_fully_spread(MAX_SPACE_DIM // 4, MAX_SPACE_DIM // 4)
+        assert {shape for shape, _, _ in _plan(g)} == {
+            (MAX_SPACE_DIM, MAX_SPACE_DIM)}
+        assert self.chunk_seeds(g, monkeypatch) == 1
+
+    def test_checked_in_scenarios_take_every_default_seed(self, monkeypatch):
+        for path in sorted(SCENARIOS.glob("*.json")):
+            g = scenario_geometry(path.stem)
+            assert self.chunk_seeds(g, monkeypatch) >= DEFAULT_SEEDS
+
+    def test_spaces_of_64_to_80_take_a_few_seeds(self, monkeypatch):
+        seeds = {}
+        for stem, scale in LARGE_SCALES.items():
+            g = load_scenario(SCENARIOS / f"{stem}.json").geometry.scaled(scale)
+            seeds[stem] = self.chunk_seeds(g, monkeypatch)
+        assert seeds == {"angles_demo": 4, "empty_backscatter": 2,
+                         "fully_spread_bs2_usr1": 3, "symmetric_overlap_075": 1}
+
+    def test_never_above_the_bound(self, monkeypatch):
+        for g in (*oracle_geometry_set(), *binding_geometry_set(), EMPTY):
+            self.chunk_seeds(g, monkeypatch)
 
 
 def corrupted_rank_change(g):
@@ -507,36 +631,56 @@ class TestZeroForcing:
 
     def test_each_channel_matrix_is_factored_once(self, monkeypatch):
         g = symmetric_overlap(2, F(3, 4))
-        ch = sample_channel(g, seed=0)
-        assert all(getattr(ch, name).size for name in ("s11", "s12", "s22"))
         original = np.linalg.svd
-        count = 0
+        calls = []
 
-        def counted(*args, **kwargs):
-            nonlocal count
-            count += 1
-            return original(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        # s11 (thin, shared), s12 (values, shared), s22, m and s22 P
+        # one stacked call per operator for a chunk of 20 seeds: s11 (thin,
+        # with U), s12 and s22 (values only)
+        channels = list(_channels(g, range(20)))
+        assert [a.shape for a in calls] == [(20, 5, 4), (20, 5, 5), (20, 4, 5)]
+        # the checks read the stored factors: zero forcing factors m and
+        # s22 P per seed, and no seed's s11, s12 or s22 again
+        calls.clear()
+        for ch in channels:
+            verify_operator_dims(ch, g)
+            zero_forcing_corner(ch, g)
+        assert len(calls) == 40
+        assert not any(np.shares_memory(a, getattr(ch, name))
+                       for a in calls for ch in channels
+                       for name in ("s11", "s12", "s22"))
+        # chunks of 7 seeds: one call per operator per chunk
+        calls.clear()
+        monkeypatch.setattr(oracle, "_chunk_seeds", lambda plan: 7)
+        list(_channels(g, range(20)))
+        assert [a.shape[0] for a in calls] == [7] * 6 + [6] * 3
+        # a channel built directly is factored as a stack of one, once
+        calls.clear()
+        ch = replace(channels[0], s22=channels[1].s22)
         verify_operator_dims(ch, g)
         zero_forcing_corner(ch, g)
-        assert count == 5
-        # the shared factors are cached on the channel: m and s22 P
+        assert [a.shape for a in calls[:3]] == [(1, 5, 4), (1, 5, 5), (1, 4, 5)]
+        assert len(calls) == 5
+        # its factors are kept: m and s22 P only
         zero_forcing_corner(ch, g)
-        assert count == 7
+        assert len(calls) == 7
         # an empty s11 needs no LAPACK call, and d1 = 0 leaves P the whole
         # transmit space, so s22 P is s22: s12 and s22 only
         g = replace(no_interference_geometry(), t11=DirectionSet(),
                     t12=ds((0, 1)), r12=ds((0, 1)))
+        calls.clear()
         ch = sample_channel(g, seed=0)
         assert ch.s11.size == 0 and ch.s12.size and ch.s22.size
-        count = 0
         verify_operator_dims(ch, g)
         result = zero_forcing_corner(ch, g)
-        assert count == 2
+        assert [a.shape for a in calls] == [(1, *ch.s12.shape),
+                                            (1, *ch.s22.shape)]
         assert (result.d1, result.d2, result.p12_dim) == (0, 2, 2)
-        assert ch._svd11[0].shape == (2, 0)
+        assert ch._factors[0].shape == (2, 0)
 
 
 # the checked-in scenarios scaled so their largest space has 64-80 basis

@@ -25,7 +25,6 @@ from fddof import (
     load_scenario,
     make_fully_spread,
     parse_scenario,
-    sample_channel,
 )
 from fddof import Scenario, cli
 from fddof.cli import MAX_SEEDS, build_parser, main
@@ -743,10 +742,12 @@ class TestVerifyCommand:
         assert "(2,2)" in out
 
     def test_corrupted_support_fails_with_exit_1(self, monkeypatch, capsys):
-        def corrupted(g, seed):
-            return corrupt_support(sample_channel(g, seed), g)
+        channels = cli._channels
 
-        monkeypatch.setattr(cli, "sample_channel", corrupted)
+        def corrupted(g, seeds):
+            return (corrupt_support(ch, g) for ch in channels(g, seeds))
+
+        monkeypatch.setattr(cli, "_channels", corrupted)
         code = main(["verify", SYMMETRIC, "--auto-rescale", "--seeds", "3"])
         out = capsys.readouterr().out
         assert code == 1
