@@ -45,7 +45,10 @@ LEAKAGE_TOL = 1e-8
 # the three channel matrices, and the left singular vectors of s11, is at
 # most this square in complex128, so a live channel holds at most
 # 4 * 2048**2 * 16 B = 256 MiB; a chunk of seeds drawn together holds more
-# (stacks of those and the draws) only within _CHUNK_BYTES, 1 MiB.  The
+# (stacks of those and the draws) only within _CHUNK_BYTES, 1 MiB.  That
+# bounds the channel, not the process: the SVD of s11 adds LAPACK
+# workspace and copies of the same order, and ``verify`` on spaces 1024
+# wide peaked at 241 MiB RSS, so about 0.9 GiB at 2048 (extrapolated).  The
 # per-geometry plan cache keeps at most 128 plans of 6 read-only index
 # arrays of at most this length in int64, plus three shape tuples, so at
 # most 128 * 6 * 2048 * 8 B = 12 MiB of arrays.  The plan holds no link
@@ -439,37 +442,23 @@ def _as_int(x: int, k: int) -> int:
 def verify_operator_dims(
     ch: DiscretizedChannel, g: ScatteringGeometry
 ) -> OperatorDimReport:
-    """Compare numerical rank, nullity and column-space codimension with
-    the closed forms.
+    """Compare the numerical rank of s11, s12 and s22 with the closed forms.
 
     Rank of each operator is twice the smaller of its two length-weighted
-    support widths; the nullity of the self-interference operator and the
-    codimension of the uplink operator's range follow from the support
-    overlaps.  All comparisons are integer equalities.  Raises ValueError
-    when ``ch`` was not sampled from ``g``.
+    support widths, an integer equality.  The paper's nullity of s12 and
+    codimension of range(s11) are each a fixed shape, checked when the
+    channel is built, minus one of these ranks, so they are decided here
+    too.  Raises ValueError when ``ch`` was not sampled from ``g``.
     """
     _check_geometry(ch, g)
-    k, a, b, c, d, e, f, p, _, _, _, u, _ = link_products(g)
+    k, a, b, c, d, e, f, *_ = link_products(g)
     tol = ch.rank_tol
     _, sv11, sv12, sv22 = ch._factors
-    rank11 = _rank(sv11, tol)
-    rank12 = _rank(sv12, tol)
-    rank22 = _rank(sv22, tol)
-
-    exp_rank11 = _as_int(2 * min(a, b), k)
-    exp_rank12 = _as_int(2 * min(e, f), k)
-    exp_rank22 = _as_int(2 * min(c, d), k)
-    exp_null12 = _as_int(2 * p + 2 * max(e - f, 0), k)
-    exp_codim11 = _as_int(2 * u + 2 * max(b - a, 0), k)
-
-    checks = (
-        DimCheck("rank(s11)", exp_rank11, rank11),
-        DimCheck("rank(s12)", exp_rank12, rank12),
-        DimCheck("rank(s22)", exp_rank22, rank22),
-        DimCheck("nullity(s12)", exp_null12, ch.s12.shape[1] - rank12),
-        DimCheck("codim range(s11)", exp_codim11, ch.s11.shape[0] - rank11),
-    )
-    return OperatorDimReport(checks)
+    return OperatorDimReport((
+        DimCheck("rank(s11)", _as_int(2 * min(a, b), k), _rank(sv11, tol)),
+        DimCheck("rank(s12)", _as_int(2 * min(e, f), k), _rank(sv12, tol)),
+        DimCheck("rank(s22)", _as_int(2 * min(c, d), k), _rank(sv22, tol)),
+    ))
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,21 @@ def reference_caps(g: ScatteringGeometry) -> tuple[Fraction, ...]:
     return 2 * min(a, b), 2 * min(c, d), 2 * (p + r + max(e, f))
 
 
+def reference_nullity_codim(g: ScatteringGeometry) -> tuple[Fraction, ...]:
+    """The paper's nullity of s12, 2p + 2max(e - f, 0), and codimension of
+    range(s11), 2u + 2max(b - a, 0), from ``reference_link_products``."""
+    a, b, _, _, e, f, p, _, _, _, u, _ = reference_link_products(g)
+    return 2 * p + 2 * max(e - f, 0), 2 * u + 2 * max(b - a, 0)
+
+
+def nullity_codim(ch: DiscretizedChannel, report) -> tuple[int, int]:
+    """nullity(s12) and codim range(s11) of ``ch``: s12's column count and
+    s11's row count, less the ranks ``verify_operator_dims`` decided."""
+    rank = {check.name: check.observed for check in report.checks}
+    return (ch.s12.shape[1] - rank["rank(s12)"],
+            ch.s11.shape[0] - rank["rank(s11)"])
+
+
 def reference_cap_vertices(d1: Fraction, d2: Fraction, ds: Fraction) -> tuple:
     """The vertices of the cap polygon of (d1, d2, ds), ``fd_region``'s
     rule, by Fraction comparisons."""

@@ -28,9 +28,11 @@ from fddof import (
 )
 from geom_helpers import (
     criterion_2_geometries,
+    nullity_codim,
     oracle_geometry_set,
     random_geometry,
     random_symmetric_inputs,
+    reference_nullity_codim,
     symmetric_overlap,
 )
 
@@ -92,9 +94,13 @@ def test_criterion_3_operator_dimension_identities():
     assert len(geometries) >= 100
     with criterion(3, "operator dimension identities", 60.0):
         for gi, g in enumerate(geometries):
+            identities = reference_nullity_codim(g)
             for seed in range(SEEDS_PER_GEOMETRY):
-                report = verify_operator_dims(sample_channel(g, seed), g)
+                ch = sample_channel(g, seed)
+                report = verify_operator_dims(ch, g)
                 assert report.all_ok, (gi, seed, str(report), str(g))
+                # the nullity of s12 and the codimension of range(s11)
+                assert nullity_codim(ch, report) == identities, (gi, seed)
 
 
 def test_criterion_4_zero_forcing_corner():

@@ -52,6 +52,7 @@ from geom_helpers import (
     ds,
     fraction_endpoints,
     mixed_geometries,
+    nullity_codim,
     oracle_geometry_set,
     random_integral_case_geometry,
     random_integral_geometry,
@@ -60,6 +61,7 @@ from geom_helpers import (
     reference_integer_scale,
     reference_link_products,
     reference_mask,
+    reference_nullity_codim,
     reference_refine,
     reference_zero_forcing_corner,
     space_families,
@@ -199,31 +201,54 @@ class TestSampleChannel:
 # -- dimension identities ----------------------------------------------------------
 
 class TestOperatorDims:
-    def test_symmetric_scale_two(self):
-        g = symmetric_overlap(2, F(3, 4))
-        report = verify_operator_dims(sample_channel(g, seed=5), g)
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["rank(s12)"].observed == 4
-        assert by_name["nullity(s12)"].observed == 1
-        assert by_name["codim range(s11)"].observed == 1
+    @staticmethod
+    def check(g):
+        """The report on seed 5, its ranks by name, and the nullity of s12
+        and codimension of range(s11), which must equal the paper's."""
+        ch = sample_channel(g, seed=5)
+        report = verify_operator_dims(ch, g)
         assert report.all_ok
+        identities = nullity_codim(ch, report)
+        assert identities == reference_nullity_codim(g)
+        return {c.name: c.observed for c in report.checks}, identities
+
+    def test_symmetric_scale_two(self):
+        rank, (nullity12, codim11) = self.check(symmetric_overlap(2, F(3, 4)))
+        assert rank["rank(s12)"] == 4
+        assert nullity12 == 1
+        assert codim11 == 1
 
     def test_zero_interference_matrix(self):
-        g = no_interference_geometry()
-        report = verify_operator_dims(sample_channel(g, seed=5), g)
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["rank(s12)"].observed == 0
-        assert by_name["nullity(s12)"].observed == 2
-        assert report.all_ok
+        rank, (nullity12, _) = self.check(no_interference_geometry())
+        assert rank["rank(s12)"] == 0
+        assert nullity12 == 2
 
     def test_fully_spread_unit_arrays(self):
-        g = make_fully_spread(1, 1)
-        report = verify_operator_dims(sample_channel(g, seed=5), g)
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["rank(s11)"].observed == 4
-        assert by_name["nullity(s12)"].observed == 0
-        assert by_name["codim range(s11)"].observed == 0
-        assert report.all_ok
+        rank, (nullity12, codim11) = self.check(make_fully_spread(1, 1))
+        assert rank["rank(s11)"] == 4
+        assert nullity12 == 0
+        assert codim11 == 0
+
+    def test_nullity_and_codim_restate_two_ranks(self):
+        """s12 has 2(p + q + v) columns and s11 has 2(r + s + u) rows, so
+        the paper's nullity of s12 and codimension of range(s11) hold
+        exactly when rank(s12) and rank(s11) do: on the binding corpus,
+        the criterion-3/4 set and 300 random integral geometries."""
+        rng = random.Random(7)
+        geometries = binding_geometry_set() + oracle_geometry_set()
+        geometries += [random_integral_geometry(rng) for _ in range(300)]
+        assert len(geometries) == 600
+        for g in geometries:
+            a, b, _, _, e, f, p, q, r, s, u, v = reference_link_products(g)
+            cols12, rows11 = 2 * (p + q + v), 2 * (r + s + u)
+            identities = reference_nullity_codim(g)
+            assert (cols12 - 2 * min(e, f), rows11 - 2 * min(a, b)) == (
+                identities), g
+            ch = sample_channel(g, seed=0)
+            assert (ch.s12.shape[1], ch.s11.shape[0]) == (cols12, rows11), g
+            report = verify_operator_dims(ch, g)
+            assert report.all_ok, (report, g)
+            assert nullity_codim(ch, report) == identities, g
 
     def test_random_integral_geometries_pass(self):
         rng = random.Random(424242)
@@ -818,14 +843,19 @@ def test_expectations_match_direction_set_algebra():
     seen_case = set()
     for g in oracle_geometry_set() + outside:
         a, b, c, d, e, f, p, q, r, s, u, v = reference_link_products(g)
-        report = verify_operator_dims(sample_channel(g, seed=0), g)
+        ch = sample_channel(g, seed=0)
+        report = verify_operator_dims(ch, g)
         assert [check.expected for check in report.checks] == [
             2 * min(a, b),
             2 * min(e, f),
             2 * min(c, d),
+        ]
+        # the paper's nullity and codimension at the expected ranks
+        assert (ch.s12.shape[1] - 2 * min(e, f),
+                ch.s11.shape[0] - 2 * min(a, b)) == (
             2 * p + 2 * max(e - f, 0),
             2 * u + 2 * max(b - a, 0),
-        ]
+        )
         budget = max(e - f, 0) + u
         case = (
             a >= b and e >= f and q >= 2 * budget

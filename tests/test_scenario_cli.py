@@ -10,10 +10,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fddof import (
@@ -24,6 +25,7 @@ from fddof import (
     fd_region,
     load_scenario,
     make_fully_spread,
+    numerical_rank,
     parse_scenario,
 )
 from fddof import Scenario, cli
@@ -732,8 +734,16 @@ class TestVerifyCommand:
         assert "auto-rescale: x2" in out
         assert "(4,2)" in out
         assert "corner/cap identity (exact rational): pass" in out
-        assert "ranks invariant across seeds: pass" in out
-        assert "RESULT: PASS" in out
+        # three rank columns, each its own decision, then the construction
+        lines = out.splitlines()
+        table = lines.index(
+            "seed  rank11  rank12  rank22   zf(d1,d2)  leakage    status")
+        rows = lines[table + 1:-1]
+        assert [row.split()[:5] for row in rows] == [
+            [str(seed), "ok", "ok", "ok", "(4,2)"] for seed in range(5)
+        ]
+        assert all(row.endswith(" pass") for row in rows)
+        assert lines[-1] == "RESULT: PASS"
 
     def test_empty_backscatter_corner_is_the_rectangle(self, capsys):
         code = main(["verify", EMPTY_BACK, "--seeds", "3"])
@@ -752,6 +762,34 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("name", ["s11", "s12", "s22"])
+    def test_each_rank_column_fails_alone(self, name, monkeypatch, capsys):
+        """One matrix with its smallest nonzero singular value zeroed
+        fails its own rank column and no other check column."""
+        channels = cli._channels
+
+        def lowered(g, seeds):
+            for ch in channels(g, seeds):
+                mat = getattr(ch, name)
+                u, sv, vh = np.linalg.svd(mat, full_matrices=False)
+                sv[numerical_rank(mat) - 1] = 0.0
+                yield replace(ch, **{name: (u * sv) @ vh})
+
+        monkeypatch.setattr(cli, "_channels", lowered)
+        code = main(["verify", SYMMETRIC, "--auto-rescale", "--seeds", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[-1] == "RESULT: FAIL"
+        header = next(ln for ln in lines if ln.startswith("seed "))
+        columns = header.split()[1:header.split().index("zf(d1,d2)")]
+        rows = [ln.split() for ln in lines if re.match(r" +\d+  ", ln)]
+        assert len(rows) == 3
+        column = "rank" + name[1:]
+        for row in rows:
+            cells = dict(zip(columns, row[1:]))
+            assert [c for c, v in cells.items() if v == "FAIL"] == [column]
+            assert row[-1] == "FAIL"
 
     @pytest.mark.parametrize(
         "path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.stem
