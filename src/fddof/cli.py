@@ -24,6 +24,7 @@ import csv
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from .intervals import DirectionSet, DomainError, MalformedIntervalError
 from .oracle import (
@@ -31,12 +32,12 @@ from .oracle import (
     LEAKAGE_TOL,
     DimensionBudgetError,
     QuantizationError,
-    _channels,
+    _chunks,
+    _decided,
+    _expected_ranks,
     _plan,
     check_dimension_budget,
     integer_rescale,
-    verify_operator_dims,
-    zero_forcing_corner,
     zf_case_applies,
 )
 from .regions import (
@@ -66,10 +67,10 @@ DEFAULT_GRID = "1,3/4,1/2,1/4,0"
 
 DEFAULT_SEEDS = 20
 
-# Most oracle seeds one verify run takes: at 1-5 ms a seed (draw, factors,
-# rank checks, zero forcing) at reference speed, with every space 64-80
-# basis functions wide (--seeds 100, one BLAS thread, 2-core Xeon, numpy
-# 2.4), 10000 seeds take about 50 s, within a two-minute wall budget.
+# Most oracle seeds one verify run takes: at 2-5.5 ms a seed (draw,
+# factors, rank decisions, zero forcing), with every space 64-80 basis
+# functions wide (--seeds 1000 and 10000, one BLAS thread, 2-core Xeon,
+# numpy 2.4), 10000 seeds take about 54 s, within a two-minute wall budget.
 MAX_SEEDS = 10_000
 
 
@@ -282,23 +283,21 @@ def cmd_verify(args) -> int:
     all_ok = identity_ok
     # the construction's d1 is rank11's decision, checked in that column
     p2 = target.p_prime[1]
+    expected = _expected_ranks(g)
     print("seed  rank11  rank12  rank22   zf(d1,d2)  leakage    status")
-    channels = _channels(g, range(args.seeds))
-    # unlike a loop variable, map holds no channel while it draws the next
-    checks = map(lambda ch: (verify_operator_dims(ch, g),
-                             zero_forcing_corner(ch, g)), channels)
-    for seed, (report, zf) in enumerate(checks):
-        reached = zf.d2 == p2 if applies else zf.d2 <= p2
-        row_ok = report.all_ok and reached and zf.max_leakage <= LEAKAGE_TOL
+    # map holds no chunk's matrices while it draws the next one
+    rows = chain.from_iterable(map(_decided, _chunks(g, range(args.seeds))))
+    for seed, (*ranks, d2, leakage) in enumerate(rows):
+        checks = [rank == exp for rank, exp in zip(ranks, expected)]
+        reached = d2 == p2 if applies else d2 <= p2
+        row_ok = all(checks) and reached and leakage <= LEAKAGE_TOL
         all_ok = all_ok and row_ok
 
-        cells = " ".join(
-            f"{'ok' if c.ok else 'FAIL':<7}" for c in report.checks
-        )
-        corner_cell = f"({zf.d1},{zf.d2})"
+        cells = " ".join(f"{'ok' if ok else 'FAIL':<7}" for ok in checks)
+        corner_cell = f"({ranks[0]},{d2})"
         print(
             f"{seed:>4}  {cells}  {corner_cell:<10} "
-            f"{zf.max_leakage:.2e}   {'pass' if row_ok else 'FAIL'}"
+            f"{leakage:.2e}   {'pass' if row_ok else 'FAIL'}"
         )
 
     print(f"RESULT: {'PASS' if all_ok else 'FAIL'}")

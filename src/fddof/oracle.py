@@ -15,19 +15,20 @@ The zero-forcing corner gives flow 2 the transmit subspace ker(U1^H s12),
 where U1 is an orthonormal basis of range(s11).  Its rank threshold is
 relative to the spectral norm of s12.
 
-Seeds are drawn and factored as stacks, one SVD per operator per chunk;
-each channel is read-only and keeps its slice of the factors, which both
-checks read.  Per-geometry facts (each operator's shape and supported rows
-and columns, and the link products cached in ``regions``) are computed
-once per geometry; a channel's shapes are checked against its plan.
+Seeds are drawn, factored and decided as stacks, a chunk at a time; the
+per-channel checks run the same code on one read-only channel's 2-D
+arrays.  Per-geometry facts (each operator's shape and supported rows and
+columns, and the link products cached in ``regions``) are computed once
+per geometry; a channel's shapes are checked against its plan.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from fractions import Fraction
 
 # numpy is imported inside the functions that touch a matrix, so importing
@@ -42,18 +43,18 @@ DEFAULT_RANK_TOL = 1e-9
 LEAKAGE_TOL = 1e-8
 
 # Largest signal space the oracle will sample, in basis functions.  Each of
-# the three channel matrices, and the left singular vectors of s11, is at
-# most this square in complex128, so a live channel holds at most
-# 4 * 2048**2 * 16 B = 256 MiB; a chunk of seeds drawn together holds more
-# (stacks of those and the draws) only within _CHUNK_BYTES, 1 MiB.  That
-# bounds the channel, not the process: the SVD of s11 adds LAPACK
-# workspace and copies of the same order, and ``verify`` on spaces 1024
-# wide peaked at 241 MiB RSS, so about 0.9 GiB at 2048 (extrapolated).  The
-# per-geometry plan cache keeps at most 128 plans of 6 read-only index
-# arrays of at most this length in int64, plus three shape tuples, so at
-# most 128 * 6 * 2048 * 8 B = 12 MiB of arrays.  The plan holds no link
-# products: those sit in regions.link_products's own cache, which, like
-# the plan's, keeps at most 128 geometries alive.
+# the three channel matrices, U of s11, and zero forcing's m, V^H, P and
+# s22 P is at most this square in complex128, so one seed holds at most
+# 8 * 2048**2 * 16 B = 512 MiB; a chunk of seeds decided together holds
+# more (stacks of those and the draws) only within _CHUNK_BYTES, 1 MiB.
+# That bounds the matrices, not the process: each SVD adds LAPACK
+# workspace and copies, and ``verify`` (one seed, numpy 2.4) on spaces
+# 1024 and 2048 wide, angles_demo at 512 times its lengths, peaked at 429
+# MiB RSS.  The per-geometry plan cache keeps at most 128 plans of 6
+# read-only index arrays of at most this length in int64, plus three
+# shape tuples, so at most 128 * 6 * 2048 * 8 B = 12 MiB of arrays.  The
+# plan holds no link products: those sit in regions.link_products's own
+# cache, which, like the plan's, keeps at most 128 geometries alive.
 MAX_SPACE_DIM = 2048
 _CHUNK_BYTES = 1 << 20
 
@@ -92,18 +93,27 @@ class RankToleranceWarning(UserWarning):
     """A singular value sits near the rank threshold; rank is unreliable."""
 
 
-def _rank(svals: np.ndarray, rank_tol: float, scale: float | None = None) -> int:
+def _rank(svals: np.ndarray, rank_tol: float, scale=None) -> int | np.ndarray:
     """Count the singular values, sorted descending, above ``rank_tol``
-    times ``scale``, by default the largest of them.
+    times ``scale``, by default the largest of them; one count per row (and
+    scale) of a stack.
 
     Warns when any of them lies within a decade of the threshold: the
     spectral gap should be many orders of magnitude wide here, so a
     near-threshold value means the draw is ill-conditioned and a reseed is
     advisable.  Only the smallest kept and the largest dropped value can
-    lie that close if any does.
+    lie that close if any does.  A stack's rows that do are counted again
+    alone, so each warns as alone, at the first caller outside this module.
     """
     import numpy as np
 
+    if svals.ndim > 1:
+        threshold = rank_tol * (
+            svals[..., :1] if scale is None else scale[..., None])
+        near = (svals > threshold / 10) & (svals < threshold * 10)
+        for i in np.flatnonzero(near.any(axis=-1)):
+            _rank(svals[i], rank_tol, None if scale is None else scale[i])
+        return (svals > threshold).sum(axis=-1)
     if svals.size == 0:
         return 0
     threshold = rank_tol * (svals[0] if scale is None else scale)
@@ -112,23 +122,34 @@ def _rank(svals: np.ndarray, rank_tol: float, scale: float | None = None) -> int
         rank < svals.size and svals[rank] > threshold / 10
     ):
         near = np.sum((svals > threshold / 10) & (svals < threshold * 10))
+        level, frame = 1, sys._getframe()
+        while frame.f_globals is globals():
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{int(near)} singular value(s) within a decade of the rank "
             f"threshold {threshold:.3e}; rank decision is ill-conditioned, "
             "resample with a different seed",
             RankToleranceWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
     return rank
 
 
+def _common(values) -> int | None:
+    """The one value an int, or every entry of an array, takes, or None."""
+    if not getattr(values, "ndim", 0):
+        return int(values)
+    first = int(values[0])
+    return first if (values == first).all() else None
+
+
 def _svals(matrix: np.ndarray) -> np.ndarray:
     """Singular values of ``matrix``, or of each matrix of a stack,
-    descending; none, and no LAPACK call, for empty ones."""
+    descending; zeros, and no LAPACK call, when every entry is zero."""
     import numpy as np
 
-    if matrix.size == 0:
-        return np.zeros((*matrix.shape[:-2], 0))
+    if not np.count_nonzero(matrix):
+        return np.zeros((*matrix.shape[:-2], min(matrix.shape[-2:])))
     return np.linalg.svd(matrix, compute_uv=False)
 
 
@@ -263,7 +284,7 @@ class DiscretizedChannel:
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, ...]:
-        """``_factor`` on a stack of one, unless ``_sampled`` set it."""
+        """``_factor`` on a stack of one, as in a chunk."""
         stacks = _factor(self.s11[None], self.s12[None], self.s22[None])
         return tuple(f[0] for f in stacks)
 
@@ -298,29 +319,31 @@ def _plan(g: ScatteringGeometry):
 
 
 def _chunk_seeds(plan) -> int:
-    """Seeds per chunk: as many as keep the stacks of the three matrices, U
-    of s11 and each block's draws within _CHUNK_BYTES, and at least one."""
-    (rows, cols), _, _ = plan[0]
-    entries = rows * min(rows, cols) + sum(
+    """Seeds per chunk: as many as keep each block's draws, the stacks of
+    the three matrices, U of s11, and zero forcing's m, its full V^H, P and
+    s22 P (each at its largest) within _CHUNK_BYTES, and at least one."""
+    ((r11, c11), _, _), ((_, c12), _, _), ((r22, _), _, _) = plan
+    entries = (r11 + c12) * min(r11, c11) + (2 * c12 + r22) * c12 + sum(
         r * c + rs.size * cs.size for (r, c), rs, cs in plan)
     return max(1, _CHUNK_BYTES // (16 * entries or 1))
 
 
 def _factor(s11, s12, s22) -> tuple[np.ndarray, ...]:
     """U and singular values of each s11's thin SVD, and those of s12 and
-    s22: one LAPACK call per stack, and none for an empty one."""
+    s22: one LAPACK call per stack, and none for an all-zero one."""
     import numpy as np
 
-    if s11.size:
+    if np.count_nonzero(s11):
         u11, sv11, _ = np.linalg.svd(s11, full_matrices=False)
     else:
         u11, sv11 = np.zeros((*s11.shape[:-1], 0), np.complex128), _svals(s11)
     return u11, sv11, _svals(s12), _svals(s22)
 
 
-def _sampled(g: ScatteringGeometry, plan, seeds) -> list[DiscretizedChannel]:
-    """One chunk of ``seeds``: each seed's generator fills one row of draws,
-    the real, then the imaginary part of each supported block, s11's first."""
+def _draw(plan, seeds) -> tuple[np.ndarray, ...]:
+    """Stacks s11, s12, s22 for ``seeds``: each seed's generator fills one
+    row of draws, the real, then the imaginary part of each supported
+    block, s11's first."""
     import numpy as np
 
     blocks = [(rows.size, cols.size) for _, rows, cols in plan]
@@ -336,22 +359,27 @@ def _sampled(g: ScatteringGeometry, plan, seeds) -> list[DiscretizedChannel]:
             stacks[-1][:, rows[:, None], cols] = (
                 parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2)
             at += 2 * r * c
-    draws = parts = None  # not live while the chunk is factored
-    (s11, s12, s22), (u11, sv11, sv12, sv22) = stacks, _factor(*stacks)
-    channels = []
-    for i in range(len(seeds)):
-        channels.append(DiscretizedChannel(s11[i], s12[i], s22[i], g))
-        vars(channels[-1])["_factors"] = (u11[i], sv11[i], sv12[i], sv22[i])
-    return channels
+    return tuple(stacks)
 
 
-def _channels(g: ScatteringGeometry, seeds):
-    """The channels of ``g`` for ``seeds``, ``_sampled`` a chunk at a time:
-    read-only views of the chunk's stacks, with slices of its factors."""
+def _chunks(g: ScatteringGeometry, seeds):
+    """The stacks s11, s12, s22 of ``g`` for ``seeds``, ``_draw`` a chunk
+    at a time."""
     plan = _plan(g)
     size = _chunk_seeds(plan)
     for start in range(0, len(seeds), size):
-        yield from _sampled(g, plan, seeds[start:start + size])
+        yield _draw(plan, seeds[start:start + size])
+
+
+def _decided(stacks) -> list[tuple]:
+    """Each seed's row of a chunk's stacks s11, s12, s22, all decided at
+    once: the three ranks (d1 is the first), zero forcing's d2 and leakage."""
+    s11, s12, s22 = stacks
+    tol = DiscretizedChannel.rank_tol
+    u11, *svals = _factor(s11, s12, s22)
+    ranks = [_rank(sv, tol) for sv in svals]
+    d2, _, leak = _zero_forcing(tol, u11, ranks[0], s12, s22, *svals[1:])
+    return list(zip(*(column.tolist() for column in (*ranks, d2, leak))))
 
 
 def _check_geometry(ch: DiscretizedChannel, g: ScatteringGeometry) -> None:
@@ -375,13 +403,13 @@ def check_dimension_budget(g: ScatteringGeometry) -> None:
 
 
 def sample_channel(g: ScatteringGeometry, seed: int) -> DiscretizedChannel:
-    """Draw and factor the three block-supported matrices for an integral
-    geometry: ``_sampled`` on one seed, so a seed reproduces them bit for
-    bit.  Before anything is allocated, raises DimensionBudgetError when a
-    space exceeds MAX_SPACE_DIM, and otherwise QuantizationError when an
-    atom dimension is non-integral.
+    """Draw the three block-supported matrices for an integral geometry:
+    ``_draw`` on one seed, so a seed reproduces them, and their factors,
+    bit for bit.  Before anything is allocated, raises DimensionBudgetError
+    when a space exceeds MAX_SPACE_DIM, and otherwise QuantizationError
+    when an atom dimension is non-integral.
     """
-    return _sampled(g, _plan(g), (seed,))[0]
+    return DiscretizedChannel(*(s[0] for s in _draw(_plan(g), (seed,))), g)
 
 
 def corrupt_support(
@@ -432,13 +460,6 @@ class OperatorDimReport:
         return all(c.ok for c in self.checks)
 
 
-def _as_int(x: int, k: int) -> int:
-    """x / k, which must be an integer."""
-    if x % k:
-        raise ValueError(f"expected integral dimension, got {Fraction(x, k)}")
-    return x // k
-
-
 def verify_operator_dims(
     ch: DiscretizedChannel, g: ScatteringGeometry
 ) -> OperatorDimReport:
@@ -451,14 +472,22 @@ def verify_operator_dims(
     too.  Raises ValueError when ``ch`` was not sampled from ``g``.
     """
     _check_geometry(ch, g)
-    k, a, b, c, d, e, f, *_ = link_products(g)
+    e11, e12, e22 = _expected_ranks(g)
     tol = ch.rank_tol
     _, sv11, sv12, sv22 = ch._factors
     return OperatorDimReport((
-        DimCheck("rank(s11)", _as_int(2 * min(a, b), k), _rank(sv11, tol)),
-        DimCheck("rank(s12)", _as_int(2 * min(e, f), k), _rank(sv12, tol)),
-        DimCheck("rank(s22)", _as_int(2 * min(c, d), k), _rank(sv22, tol)),
+        DimCheck("rank(s11)", e11, _rank(sv11, tol)),
+        DimCheck("rank(s12)", e12, _rank(sv12, tol)),
+        DimCheck("rank(s22)", e22, _rank(sv22, tol)),
     ))
+
+
+def _expected_ranks(g: ScatteringGeometry) -> tuple[int, int, int]:
+    """rank(s11), rank(s12) and rank(s22) by the closed forms: twice the
+    smaller of each operator's two length-weighted support widths, a sum
+    of atom dimensions, which ``_plan`` has found integral."""
+    k, a, b, c, d, e, f, *_ = link_products(g)
+    return 2 * min(a, b) // k, 2 * min(e, f) // k, 2 * min(c, d) // k
 
 
 @dataclass(frozen=True)
@@ -482,9 +511,9 @@ def zero_forcing_corner(
     ker(U1^H s12), read from the right singular vectors of U1^H s12 whose
     singular values fall below rank_tol times the spectral norm of s12.
     d2 is the rank of s22 restricted to P, which caps it by the downlink
-    receive dimension automatically.  When d1 = 0 there is nothing to
-    miss: P is the whole transmit space, d2 = rank(s22), and no SVD runs
-    beyond the channel's own factors.
+    receive dimension automatically.  When d1 = 0 or s12 is all zero,
+    nothing is missed: P is the whole transmit space, d2 = rank(s22), and
+    no SVD runs beyond the channel's own factors.
 
     The leakage figure is measured, not read back from the singular
     values: the largest column norm of U1^H s12 P, relative to the
@@ -492,33 +521,45 @@ def zero_forcing_corner(
     was dropped, so ``max_leakage <= rank_tol`` by construction.  Raises
     ValueError when ``ch`` was not sampled from ``g``.
     """
-    import numpy as np
-
     _check_geometry(ch, g)
     tol = ch.rank_tol
     u11, sv11, sv12, sv22 = ch._factors
     d1 = _rank(sv11, tol)
-    if not d1:
-        # nothing to miss: P is the whole transmit space and s22 P is s22
-        return ZeroForcingResult(
-            d1=0, d2=_rank(sv22, tol), p12_dim=ch.s12.shape[1],
-            max_leakage=0.0,
-        )
-    # the interference flow 2 deposits on flow 1's receive space
-    m = u11[:, :d1].conj().T @ ch.s12
-    # relative to s12 itself: m may hold nothing but round-off
-    norm12 = sv12.max(initial=0.0)
-    _, svm, vmh = np.linalg.svd(m)
-    p12 = vmh[_rank(svm, tol, norm12):, :].conj().T
-    d2 = _rank(_svals(ch.s22 @ p12), tol)
-
-    leak = np.linalg.norm(m @ p12, axis=0).max(initial=0.0)
-    # p12 columns are orthonormal, so per-column norms are already
-    # relative to the transmit vector norm
-    max_leakage = float(leak / norm12) if norm12 else 0.0
+    d2, p12_dim, leak = _zero_forcing(tol, u11, d1, ch.s12, ch.s22, sv12, sv22)
     return ZeroForcingResult(
-        d1=d1, d2=d2, p12_dim=p12.shape[1], max_leakage=max_leakage
-    )
+        d1=d1, d2=d2, p12_dim=p12_dim, max_leakage=float(leak))
+
+
+def _zero_forcing(tol, u11, d1, s12, s22, sv12, sv22, kept=None):
+    """Zero forcing's d2, dim P and leakage given d1 (and m's rank, if
+    decided), on one channel's 2-D arrays or on a chunk's stacks, where
+    ``@``, the SVD, ``swapaxes`` and the norm broadcast over the seeds."""
+    import numpy as np
+
+    norm12 = sv12.max(axis=-1, initial=0.0)
+    # an all-zero s12 leaves nothing to miss, as d1 = 0 does
+    miss = _common(d1 * (norm12 > 0))
+    if miss == 0:
+        # P is the whole transmit space and s22 P is s22
+        return _rank(sv22, tol), s12.shape[-1], 0.0 * norm12
+    if miss is not None:
+        # the interference flow 2 deposits on flow 1's receive space
+        m = u11[..., :miss].conj().swapaxes(-1, -2) @ s12
+        _, svm, vmh = np.linalg.svd(m)
+        # relative to s12 itself: m may hold nothing but round-off
+        kept = _rank(svm, tol, norm12) if kept is None else kept
+        if (common := _common(kept)) is not None:
+            p12 = vmh[..., common:, :].conj().swapaxes(-1, -2)
+            d2 = _rank(_svals(s22 @ p12), tol)
+            # p12 columns are orthonormal, so per-column norms are already
+            # relative to the transmit vector norm
+            leak = np.linalg.norm(m @ p12, axis=-2).max(axis=-1, initial=0.0)
+            return d2, p12.shape[-1], leak / norm12
+    # seeds that disagree on what flow 2 must miss, or on the kernel
+    # dimension, run one at a time, keeping any kernel decided above
+    seeds = map(partial(_zero_forcing, tol), u11, d1, s12, s22, sv12, sv22,
+                [None] * len(d1) if kept is None else kept)
+    return tuple(map(np.array, zip(*seeds)))
 
 
 def zf_case_applies(g: ScatteringGeometry) -> bool:

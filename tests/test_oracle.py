@@ -15,6 +15,7 @@ from fddof import (
     ArrayHalfLengths,
     DimensionBudgetError,
     DirectionSet,
+    DiscretizedChannel,
     QuantizationError,
     RankToleranceWarning,
     ScatteringGeometry,
@@ -40,8 +41,10 @@ from fddof.cli import DEFAULT_SEEDS
 from fddof.oracle import (
     DEFAULT_RANK_TOL,
     MAX_SPACE_DIM,
-    _channels,
     _chunk_seeds,
+    _chunks,
+    _decided,
+    _factor,
     _plan,
     check_dimension_budget,
 )
@@ -308,24 +311,53 @@ def scenario_geometry(stem):
     return integer_rescale(load_scenario(SCENARIOS / f"{stem}.json").geometry)[0]
 
 
-def assert_matches_reference_channels(channels, g, seeds):
-    """Each channel, drawn and factored in a stack, against
-    ``reference_channel``: equal bytes, factors, ranks and leakage."""
-    channels = list(channels)
-    assert len(channels) == len(seeds)
-    for ch, seed in zip(channels, seeds):
-        ref = reference_channel(g, seed)
-        for name in ("s11", "s12", "s22"):
-            assert getattr(ch, name).tobytes() == getattr(ref, name).tobytes()
-        for ours, theirs in zip(ch._factors, ref._factors):
-            assert ours.shape == theirs.shape, (seed, g)
-            assert ours.tobytes() == theirs.tobytes(), (seed, g)
-        assert ([c.observed for c in verify_operator_dims(ch, g).checks]
-                == [c.observed for c in verify_operator_dims(ref, g).checks])
-        ours, theirs = zero_forcing_corner(ch, g), zero_forcing_corner(ref, g)
-        assert (ours.d1, ours.d2, ours.p12_dim) == (
-            theirs.d1, theirs.d2, theirs.p12_dim)
-        assert float.hex(ours.max_leakage) == float.hex(theirs.max_leakage)
+def assert_matches_reference_seed(mats, factors, row, g, seed):
+    """One seed's matrices, factors and row (its three ranks, zero
+    forcing's d2 and leakage) against ``reference_channel`` and the
+    per-channel functions on it: equal bytes, factors, ranks and leakage.
+    U of s11 is compared in its first d1 columns, the ones zero forcing
+    reads."""
+    ref = reference_channel(g, seed)
+    for name, mat in zip(("s11", "s12", "s22"), mats):
+        assert mat.tobytes() == getattr(ref, name).tobytes(), (seed, g)
+    d1 = row[0]
+    for ours, theirs in zip((factors[0][:, :d1], *factors[1:]),
+                            (ref._factors[0][:, :d1], *ref._factors[1:])):
+        assert ours.shape == theirs.shape, (seed, g)
+        assert ours.tobytes() == theirs.tobytes(), (seed, g)
+    zf = zero_forcing_corner(ref, g)
+    assert [c.observed for c in verify_operator_dims(ref, g).checks] == [
+        *row[:3]]
+    assert (zf.d1, zf.d2) == (d1, row[3]), (seed, g)
+    assert float.hex(zf.max_leakage) == float.hex(row[4]), (seed, g)
+
+
+def assert_matches_reference_chunks(g, seeds):
+    """Each chunk of ``seeds``, drawn, factored and decided as stacks,
+    seed by seed against ``reference_channel``."""
+    seeds = list(seeds)
+    done = 0
+    for stacks in _chunks(g, seeds):
+        factors, rows = _factor(*stacks), _decided(stacks)
+        assert len(rows) == len(stacks[0])
+        for i, row in enumerate(rows):
+            assert_matches_reference_seed(
+                [s[i] for s in stacks], [f[i] for f in factors], row, g,
+                seeds[done + i])
+        done += len(rows)
+    assert done == len(seeds)
+
+
+def assert_sampled_channel_matches_reference(g, seed):
+    """``sample_channel`` and the per-channel functions on it, against
+    ``reference_channel``."""
+    ch = sample_channel(g, seed)
+    zf = zero_forcing_corner(ch, g)
+    row = (*[c.observed for c in verify_operator_dims(ch, g).checks],
+           zf.d2, zf.max_leakage)
+    assert zf.d1 == row[0]
+    assert_matches_reference_seed(
+        (ch.s11, ch.s12, ch.s22), ch._factors, row, g, seed)
 
 
 class TestStackedDraw:
@@ -333,43 +365,46 @@ class TestStackedDraw:
         for path in sorted(SCENARIOS.glob("*.json")):
             g = scenario_geometry(path.stem)
             assert _chunk_seeds(_plan(g)) >= 20
-            assert_matches_reference_channels(
-                _channels(g, range(20)), g, range(20))
+            assert_matches_reference_chunks(g, range(20))
 
     def test_empty_backscatter_keeps_its_zero_s12(self):
         g = scenario_geometry("empty_backscatter")
         (_, _, _), (shape, rows, cols), _ = _plan(g)
         assert shape == (2, 2) and rows.size == cols.size == 0
-        channels = list(_channels(g, range(3)))
-        assert not any(ch.s12.any() for ch in channels)
-        assert_matches_reference_channels(channels, g, range(3))
+        (s11, s12, s22), = _chunks(g, range(3))
+        assert s12.shape == (3, 2, 2) and not s12.any()
+        assert_matches_reference_chunks(g, range(3))
 
     def test_acceptance_cases_in_stacks_and_one_seed_at_a_time(self):
         for g in oracle_geometry_set()[:30]:
-            assert_matches_reference_channels(
-                _channels(g, range(4)), g, range(4))
-            assert_matches_reference_channels([sample_channel(g, 9)], g, [9])
+            assert_matches_reference_chunks(g, range(4))
+            assert_sampled_channel_matches_reference(g, 9)
 
     def test_chunks_crossing_a_boundary(self, monkeypatch):
         monkeypatch.setattr(oracle, "_chunk_seeds", lambda plan: 7)
         for stem in ("fully_spread_bs2_usr1", "symmetric_overlap_075"):
             g = scenario_geometry(stem)
-            assert_matches_reference_channels(
-                _channels(g, range(20)), g, range(20))
+            assert [len(s11) for s11, _, _ in _chunks(g, range(20))] == [
+                7, 7, 6]
+            assert_matches_reference_chunks(g, range(20))
 
     def test_large_scenarios(self):
         for stem, scale in LARGE_SCALES.items():
             g = load_scenario(SCENARIOS / f"{stem}.json").geometry.scaled(scale)
-            assert_matches_reference_channels(
-                _channels(g, range(3)), g, range(3))
+            assert_matches_reference_chunks(g, range(3))
+            assert_sampled_channel_matches_reference(g, 3)
 
 
 def live_chunk_bytes(plan, seeds):
     """What a chunk of ``seeds`` holds: per seed, the three complex
-    matrices, U of s11, and the float real and imaginary draws of each
-    operator's supported block."""
-    (rows, cols), _, _ = plan[0]
-    per_seed = 16 * rows * min(rows, cols)
+    matrices, U of s11, zero forcing's m (at most min(rows, cols) of s11
+    rows), its full V^H, P and s22 P (at most as many columns as s12 has),
+    and the float real and imaginary draws of each operator's supported
+    block."""
+    ((r11, c11), _, _), ((_, c12), _, _), ((r22, _), _, _) = plan
+    d1 = min(r11, c11)
+    per_seed = 16 * (r11 * d1 + d1 * c12 + c12 * c12 + c12 * c12
+                     + r22 * c12)
     for (r, c), support_rows, support_cols in plan:
         per_seed += 16 * r * c + 2 * 8 * support_rows.size * support_cols.size
     return seeds * per_seed
@@ -413,8 +448,9 @@ class TestChunkRule:
         for stem, scale in LARGE_SCALES.items():
             g = load_scenario(SCENARIOS / f"{stem}.json").geometry.scaled(scale)
             seeds[stem] = self.chunk_seeds(g, monkeypatch)
-        assert seeds == {"angles_demo": 4, "empty_backscatter": 2,
-                         "fully_spread_bs2_usr1": 3, "symmetric_overlap_075": 1}
+        # zero forcing's m, V^H, P and s22 P count too
+        assert seeds == {"angles_demo": 2, "empty_backscatter": 1,
+                         "fully_spread_bs2_usr1": 2, "symmetric_overlap_075": 1}
 
     def test_never_above_the_bound(self, monkeypatch):
         for g in (*oracle_geometry_set(), *binding_geometry_set(), EMPTY):
@@ -571,6 +607,27 @@ def test_rank_rule_matches_the_former_rule(case):
     assert all(w.category is RankToleranceWarning for w in caught)
 
 
+@given(st.lists(diagonals(), min_size=1, max_size=4), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_stack_is_ranked_and_warned_as_each_row_alone(cases, scaled):
+    """The rank rule on a stack of rows (zero-padded to one width, with
+    the first case's rank_tol and, if ``scaled``, a scale per row) counts
+    and warns as it does on each row alone, in row order."""
+    rank_tol = cases[0][0]
+    width = max(len(values) for _, values in cases)
+    svals = np.array([values + [0.0] * (width - len(values))
+                      for _, values in cases]).reshape(len(cases), width)
+    scale = 3 * svals[:, :1].sum(axis=1) if scaled else None
+    with warnings.catch_warnings(record=True) as alone:
+        warnings.simplefilter("always")
+        ranks = [oracle._rank(row, rank_tol, None if scale is None else
+                              scale[i]) for i, row in enumerate(svals)]
+    with warnings.catch_warnings(record=True) as stacked:
+        warnings.simplefilter("always")
+        assert oracle._rank(svals, rank_tol, scale).tolist() == ranks
+    assert [str(w.message) for w in stacked] == [str(w.message) for w in alone]
+
+
 # -- zero forcing -------------------------------------------------------------------
 
 class TestZeroForcing:
@@ -654,6 +711,36 @@ class TestZeroForcing:
         result = zero_forcing_corner(sample_channel(g, seed=4), g)
         assert (result.d1, result.d2) == cp.p_prime
 
+    @pytest.mark.parametrize("disagree", ["d1", "kernel"])
+    def test_seeds_that_disagree_are_decided_one_at_a_time(self, disagree):
+        """A chunk with one seed of lower d1, or one whose m has a wider
+        kernel: each row equals the per-channel functions on that seed's
+        matrices."""
+        g = symmetric_overlap(2, F(3, 4))
+        s11, s12, s22 = (s.copy() for s in next(_chunks(g, range(20))))
+        if disagree == "d1":
+            u, sv, vh = np.linalg.svd(s11[5], full_matrices=False)
+            sv[-1] = 0.0
+            s11[5] = (u * sv) @ vh
+        else:
+            # s12 less its part along m's weakest kept direction
+            u11 = np.linalg.svd(s11[5], full_matrices=False)[0]
+            m = u11.conj().T @ s12[5]
+            um, svm, vmh = np.linalg.svd(m)
+            r = numerical_rank(m) - 1
+            s12[5] -= (u11 @ um[:, r:r + 1]) * svm[r] @ vmh[r:r + 1]
+        rows = _decided((s11, s12, s22))
+        results = []
+        for row, mats in zip(rows, zip(s11, s12, s22)):
+            ch = DiscretizedChannel(*mats, g)
+            zf = zero_forcing_corner(ch, g)
+            ranks = tuple(c.observed for c in verify_operator_dims(ch, g).checks)
+            assert row[:4] == (*ranks, zf.d2) and zf.d1 == ranks[0]
+            assert float.hex(row[4]) == float.hex(zf.max_leakage)
+            results.append((zf.d1, zf.p12_dim))
+        odd = (3, 2) if disagree == "d1" else (4, 3)
+        assert results == [(4, 2)] * 5 + [odd] + [(4, 2)] * 14
+
     def test_each_channel_matrix_is_factored_once(self, monkeypatch):
         g = symmetric_overlap(2, F(3, 4))
         original = np.linalg.svd
@@ -664,35 +751,35 @@ class TestZeroForcing:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        # one stacked call per operator for a chunk of 20 seeds: s11 (thin,
-        # with U), s12 and s22 (values only)
-        channels = list(_channels(g, range(20)))
-        assert [a.shape for a in calls] == [(20, 5, 4), (20, 5, 5), (20, 4, 5)]
-        # the checks read the stored factors: zero forcing factors m and
-        # s22 P per seed, and no seed's s11, s12 or s22 again
-        calls.clear()
-        for ch in channels:
-            verify_operator_dims(ch, g)
-            zero_forcing_corner(ch, g)
-        assert len(calls) == 40
-        assert not any(np.shares_memory(a, getattr(ch, name))
-                       for a in calls for ch in channels
-                       for name in ("s11", "s12", "s22"))
-        # chunks of 7 seeds: one call per operator per chunk
+        # a uniform chunk of 20 seeds takes five stacked calls and none per
+        # seed: s11 (thin, with U), s12 and s22 (values only), then zero
+        # forcing's m = U1^H s12 (d1 = 4 rows) and s22 P (P of dimension 2)
+        stacks = next(_chunks(g, range(20)))
+        rows = _decided(stacks)
+        assert len(rows) == 20
+        assert [a.shape for a in calls] == [
+            (20, 5, 4), (20, 5, 5), (20, 4, 5), (20, 4, 5), (20, 4, 2)]
+        assert not any(np.shares_memory(a, stack)
+                       for a in calls[3:] for stack in stacks)
+        # chunks of 7 seeds: five calls per chunk
         calls.clear()
         monkeypatch.setattr(oracle, "_chunk_seeds", lambda plan: 7)
-        list(_channels(g, range(20)))
-        assert [a.shape[0] for a in calls] == [7] * 6 + [6] * 3
-        # a channel built directly is factored as a stack of one, once
-        calls.clear()
-        ch = replace(channels[0], s22=channels[1].s22)
-        verify_operator_dims(ch, g)
-        zero_forcing_corner(ch, g)
-        assert [a.shape for a in calls[:3]] == [(1, 5, 4), (1, 5, 5), (1, 4, 5)]
-        assert len(calls) == 5
-        # its factors are kept: m and s22 P only
-        zero_forcing_corner(ch, g)
-        assert len(calls) == 7
+        for stacks in _chunks(g, range(20)):
+            _decided(stacks)
+        assert [a.shape[0] for a in calls] == [7] * 10 + [6] * 5
+        # a sampled channel, or one built directly, is factored as a stack
+        # of one on first use, and once: then zero forcing factors m and
+        # s22 P of its 2-D arrays
+        for ch in (sample_channel(g, seed=0),
+                   replace(sample_channel(g, seed=0),
+                           s22=sample_channel(g, seed=1).s22)):
+            calls.clear()
+            verify_operator_dims(ch, g)
+            zero_forcing_corner(ch, g)
+            assert [a.shape for a in calls] == [
+                (1, 5, 4), (1, 5, 5), (1, 4, 5), (4, 5), (4, 2)]
+            zero_forcing_corner(ch, g)
+            assert [a.shape for a in calls[5:]] == [(4, 5), (4, 2)]
         # an empty s11 needs no LAPACK call, and d1 = 0 leaves P the whole
         # transmit space, so s22 P is s22: s12 and s22 only
         g = replace(no_interference_geometry(), t11=DirectionSet(),
@@ -706,6 +793,14 @@ class TestZeroForcing:
                                             (1, *ch.s22.shape)]
         assert (result.d1, result.d2, result.p12_dim) == (0, 2, 2)
         assert ch._factors[0].shape == (2, 0)
+        # an s12 with no supported row or column needs none either, and
+        # leaves nothing to miss: s11 and s22 only, per chunk (of 7 here)
+        g = scenario_geometry("empty_backscatter")
+        calls.clear()
+        (s11, s12, s22), = _chunks(g, range(7))
+        rows = _decided((s11, s12, s22))
+        assert [a.shape for a in calls] == [s11.shape, s22.shape]
+        assert {row[3:] for row in rows} == {(2, 0.0)}
 
 
 # the checked-in scenarios scaled so their largest space has 64-80 basis
@@ -788,6 +883,32 @@ class TestZeroForcingEdges:
         assert ch.s12.size and not ch.s12.any()
         result = assert_matches_reference(g)
         assert (result.p12_dim, result.max_leakage) == (2, 0.0)
+
+    def test_all_zero_s12_decides_as_lapack_would(self):
+        """An s12 with no supported row or column skips its SVD, m's and
+        s22 P's.  LAPACK on exact-zero matrices gives zero singular values
+        and V^H = I exactly, so P would be the whole transmit space and
+        s22 P would be s22 bit for bit: the skip decides as the full
+        construction would."""
+        for shape in [(4, 4), (3, 5), (5, 3), (64, 64)]:
+            _, svals, vh = np.linalg.svd(np.zeros(shape, np.complex128))
+            assert not svals.any()
+            assert np.array_equal(vh, np.eye(shape[1]))
+        raw = load_scenario(SCENARIOS / "empty_backscatter.json").geometry
+        for g in (integer_rescale(raw)[0], raw.scaled(32),
+                  no_interference_geometry()):
+            ch = reference_channel(g, 0)
+            d1 = numerical_rank(ch.s11)
+            assert d1 and ch.s12.size and not ch.s12.any()
+            m = ch._factors[0][:, :d1].conj().T @ ch.s12
+            _, svm, vmh = np.linalg.svd(m)
+            assert not svm.any() and np.array_equal(vmh, np.eye(len(vmh)))
+            p12 = vmh.conj().T
+            assert (ch.s22 @ p12).tobytes() == ch.s22.tobytes()
+            result = zero_forcing_corner(ch, g)
+            assert (result.d1, result.d2, result.p12_dim) == (
+                d1, numerical_rank(ch.s22 @ p12), p12.shape[1])
+            assert result.max_leakage == 0.0
 
     def test_kernel_decision_near_its_threshold_warns(self):
         # r12 disjoint from r11, plus a component inside range(s11) at

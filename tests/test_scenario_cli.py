@@ -19,19 +19,27 @@ import pytest
 
 from fddof import (
     DirectionSet,
+    DiscretizedChannel,
+    RankToleranceWarning,
+    cap_corners,
     corrupt_support,
     cos_degrees,
     fd_caps,
     fd_region,
+    integer_rescale,
     load_scenario,
     make_fully_spread,
     numerical_rank,
     parse_scenario,
+    verify_operator_dims,
+    zero_forcing_corner,
+    zf_case_applies,
 )
+from fddof import oracle
 from fddof import Scenario, cli
 from fddof.cli import MAX_SEEDS, build_parser, main
 from fddof.scenario import SchemaError
-from geom_helpers import cap_region
+from geom_helpers import cap_region, reference_channel
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SYMMETRIC = str(SCENARIOS / "symmetric_overlap_075.json")
@@ -726,6 +734,26 @@ class TestSweepCommand:
 
 # -- verify command -------------------------------------------------------------------
 
+def lowered_chunks(name, seed=None):
+    """A stand-in for ``cli._chunks``: each chunk with the ``name`` matrix
+    of every seed, or of ``seed`` only, given its smallest nonzero singular
+    value zeroed."""
+    chunks = cli._chunks
+
+    def lowered(g, seeds):
+        for stacks in chunks(g, seeds):
+            mats = dict(zip(("s11", "s12", "s22"), stacks))
+            stack = mats[name].copy()
+            for i in range(len(stack)) if seed is None else [seed]:
+                u, sv, vh = np.linalg.svd(stack[i], full_matrices=False)
+                sv[numerical_rank(stack[i]) - 1] = 0.0
+                stack[i] = (u * sv) @ vh
+            mats[name] = stack
+            yield tuple(mats.values())
+
+    return lowered
+
+
 class TestVerifyCommand:
     def test_symmetric_with_rescale_passes(self, capsys):
         code = main(["verify", SYMMETRIC, "--auto-rescale", "--seeds", "5"])
@@ -752,12 +780,17 @@ class TestVerifyCommand:
         assert "(2,2)" in out
 
     def test_corrupted_support_fails_with_exit_1(self, monkeypatch, capsys):
-        channels = cli._channels
+        chunks = cli._chunks
 
         def corrupted(g, seeds):
-            return (corrupt_support(ch, g) for ch in channels(g, seeds))
+            # each seed's matrices as a channel, corrupted, stacked again
+            for stacks in chunks(g, seeds):
+                bad = [corrupt_support(DiscretizedChannel(*mats, g), g)
+                       for mats in zip(*stacks)]
+                yield tuple(np.stack([getattr(ch, name) for ch in bad])
+                            for name in ("s11", "s12", "s22"))
 
-        monkeypatch.setattr(cli, "_channels", corrupted)
+        monkeypatch.setattr(cli, "_chunks", corrupted)
         code = main(["verify", SYMMETRIC, "--auto-rescale", "--seeds", "3"])
         out = capsys.readouterr().out
         assert code == 1
@@ -767,16 +800,7 @@ class TestVerifyCommand:
     def test_each_rank_column_fails_alone(self, name, monkeypatch, capsys):
         """One matrix with its smallest nonzero singular value zeroed
         fails its own rank column and no other check column."""
-        channels = cli._channels
-
-        def lowered(g, seeds):
-            for ch in channels(g, seeds):
-                mat = getattr(ch, name)
-                u, sv, vh = np.linalg.svd(mat, full_matrices=False)
-                sv[numerical_rank(mat) - 1] = 0.0
-                yield replace(ch, **{name: (u * sv) @ vh})
-
-        monkeypatch.setattr(cli, "_channels", lowered)
+        monkeypatch.setattr(cli, "_chunks", lowered_chunks(name))
         code = main(["verify", SYMMETRIC, "--auto-rescale", "--seeds", "3"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
@@ -790,6 +814,91 @@ class TestVerifyCommand:
             cells = dict(zip(columns, row[1:]))
             assert [c for c, v in cells.items() if v == "FAIL"] == [column]
             assert row[-1] == "FAIL"
+
+    @pytest.mark.parametrize("name", ["s11", "s12", "s22"])
+    def test_one_lowered_seed_in_a_chunk_fails_only_its_row(self, name,
+                                                           monkeypatch,
+                                                           capsys):
+        """The chunk's seeds then disagree on d1 or on the kernel
+        dimension, or on a rank only; every other row reads as before."""
+        assert main(["verify", SYMMETRIC, "--auto-rescale"]) == 0
+        before = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(cli, "_chunks", lowered_chunks(name, seed=5))
+        assert main(["verify", SYMMETRIC, "--auto-rescale"]) == 1
+        after = capsys.readouterr().out.splitlines()
+        changed = [(old, new) for old, new in zip(before, after) if old != new]
+        assert len(before) == len(after)
+        (old, new), (_, result) = changed
+        assert old.split()[0] == new.split()[0] == "5"
+        assert new.endswith(" FAIL") and result == "RESULT: FAIL"
+        cells = dict(zip(["rank11", "rank12", "rank22"], new.split()[1:4]))
+        assert [c for c, v in cells.items() if v == "FAIL"] == [
+            "rank" + name[1:]]
+
+    def test_near_threshold_seed_in_a_chunk_warns_as_alone(self, monkeypatch,
+                                                           capsys):
+        """Seed 5's s22 with its smallest singular value at twice the rank
+        threshold, and its unsupported entries still exactly zero: one
+        warning, in the text the per-channel rule gives, and every row as
+        before.  (A near-threshold s11 would also tilt U1 and so the kernel
+        decision, which then warns too.)"""
+        assert main(["verify", SYMMETRIC, "--auto-rescale"]) == 0
+        before = capsys.readouterr().out
+        chunks = cli._chunks
+        alone = []
+
+        def near(g, seeds):
+            for s11, s12, s22 in chunks(g, seeds):
+                u, sv, vh = np.linalg.svd(s22[5], full_matrices=False)
+                sv[-1] = 2 * DiscretizedChannel.rank_tol * sv[0]
+                s22 = s22.copy()
+                s22[5] = np.where(s22[5] != 0, (u * sv) @ vh, 0)
+                with pytest.warns(RankToleranceWarning) as caught:
+                    numerical_rank(s22[5])
+                alone.extend(str(w.message) for w in caught)
+                yield s11, s12, s22
+
+        monkeypatch.setattr(cli, "_chunks", near)
+        with pytest.warns(RankToleranceWarning) as caught:
+            assert main(["verify", SYMMETRIC, "--auto-rescale"]) == 0
+        assert capsys.readouterr().out == before
+        assert len(alone) == 1
+        assert [str(w.message) for w in caught] == alone
+        assert alone[0].startswith("1 singular value(s) within a decade of "
+                                   "the rank threshold ")
+        assert {w.filename for w in caught} == {cli.__file__}
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_seed_table_equals_rows_from_reference_channels(
+            self, path, chunk, monkeypatch, capsys):
+        """Every seed row, leakage digits included, against the row the
+        per-channel functions give on ``reference_channel``, drawn one
+        matrix at a time; in one chunk of 20 seeds, and in chunks of 7."""
+        if chunk:
+            monkeypatch.setattr(oracle, "_chunk_seeds", lambda plan: chunk)
+        assert main(["verify", str(path), "--auto-rescale"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        table = lines.index(
+            "seed  rank11  rank12  rank22   zf(d1,d2)  leakage    status")
+        g = integer_rescale(load_scenario(path).geometry)[0]
+        p2 = cap_corners(fd_caps(g)).p_prime[1]
+        applies = zf_case_applies(g)
+        expected = []
+        for seed in range(20):
+            ch = reference_channel(g, seed)
+            checks = verify_operator_dims(ch, g).checks
+            zf = zero_forcing_corner(ch, g)
+            reached = zf.d2 == p2 if applies else zf.d2 <= p2
+            ok = all(c.ok for c in checks) and reached and (
+                zf.max_leakage <= oracle.LEAKAGE_TOL)
+            cells = " ".join(f"{'ok' if c.ok else 'FAIL':<7}" for c in checks)
+            expected.append(
+                f"{seed:>4}  {cells}  {f'({zf.d1},{zf.d2})':<10} "
+                f"{zf.max_leakage:.2e}   {'pass' if ok else 'FAIL'}")
+        assert lines[table + 1:-1] == expected
 
     @pytest.mark.parametrize(
         "path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.stem
