@@ -67,10 +67,10 @@ DEFAULT_GRID = "1,3/4,1/2,1/4,0"
 
 DEFAULT_SEEDS = 20
 
-# Most oracle seeds one verify run takes: at 2-5.5 ms a seed (draw,
+# Most oracle seeds one verify run takes: at 1.4-5 ms a seed (draw,
 # factors, rank decisions, zero forcing), with every space 64-80 basis
 # functions wide (--seeds 1000 and 10000, one BLAS thread, 2-core Xeon,
-# numpy 2.4), 10000 seeds take about 54 s, within a two-minute wall budget.
+# numpy 2.4), 10000 seeds take about 52 s, within a two-minute wall budget.
 MAX_SEEDS = 10_000
 
 

@@ -46,7 +46,7 @@ LEAKAGE_TOL = 1e-8
 # the three channel matrices, U of s11, and zero forcing's m, V^H, P and
 # s22 P is at most this square in complex128, so one seed holds at most
 # 8 * 2048**2 * 16 B = 512 MiB; a chunk of seeds decided together holds
-# more (stacks of those and the draws) only within _CHUNK_BYTES, 1 MiB.
+# more (stacks of those and the draws) only within _CHUNK_BYTES, 4 MiB.
 # That bounds the matrices, not the process: each SVD adds LAPACK
 # workspace and copies, and ``verify`` (one seed, numpy 2.4) on spaces
 # 1024 and 2048 wide, angles_demo at 512 times its lengths, peaked at 429
@@ -56,7 +56,7 @@ LEAKAGE_TOL = 1e-8
 # plan holds no link products: those sit in regions.link_products's own
 # cache, which, like the plan's, keeps at most 128 geometries alive.
 MAX_SPACE_DIM = 2048
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 4 << 20
 
 
 class QuantizationError(ValueError):

@@ -315,20 +315,22 @@ def assert_matches_reference_seed(mats, factors, row, g, seed):
     """One seed's matrices, factors and row (its three ranks, zero
     forcing's d2 and leakage) against ``reference_channel`` and the
     per-channel functions on it: equal bytes, factors, ranks and leakage.
-    U of s11 is compared in its first d1 columns, the ones zero forcing
-    reads."""
+    An all-zero s11 takes no SVD, so its U has no columns where the
+    reference's LAPACK call gives min(rows, cols) of them."""
     ref = reference_channel(g, seed)
     for name, mat in zip(("s11", "s12", "s22"), mats):
         assert mat.tobytes() == getattr(ref, name).tobytes(), (seed, g)
-    d1 = row[0]
-    for ours, theirs in zip((factors[0][:, :d1], *factors[1:]),
-                            (ref._factors[0][:, :d1], *ref._factors[1:])):
+    u11 = ref._factors[0]
+    if not mats[0].any():
+        assert factors[0].shape == (mats[0].shape[0], 0), (seed, g)
+        u11 = u11[:, :0]
+    for ours, theirs in zip(factors, (u11, *ref._factors[1:])):
         assert ours.shape == theirs.shape, (seed, g)
         assert ours.tobytes() == theirs.tobytes(), (seed, g)
     zf = zero_forcing_corner(ref, g)
     assert [c.observed for c in verify_operator_dims(ref, g).checks] == [
         *row[:3]]
-    assert (zf.d1, zf.d2) == (d1, row[3]), (seed, g)
+    assert (zf.d1, zf.d2) == (row[0], row[3]), (seed, g)
     assert float.hex(zf.max_leakage) == float.hex(row[4]), (seed, g)
 
 
@@ -377,6 +379,20 @@ class TestStackedDraw:
 
     def test_acceptance_cases_in_stacks_and_one_seed_at_a_time(self):
         for g in oracle_geometry_set()[:30]:
+            assert_matches_reference_chunks(g, range(4))
+            assert_sampled_channel_matches_reference(g, 9)
+
+    def test_all_zero_s11_in_stacks_and_one_seed_at_a_time(self):
+        """Geometries whose s11 has rows and columns but no support: its U
+        has no columns, and everything else equals the reference."""
+        rng = random.Random(7)
+        zero = []
+        for g in (random_integral_geometry(rng) for _ in range(300)):
+            (shape, rows, cols), _, _ = _plan(g)
+            if shape[0] * shape[1] and not rows.size * cols.size:
+                zero.append(g)
+        assert len(zero) == 48
+        for g in zero[:12]:
             assert_matches_reference_chunks(g, range(4))
             assert_sampled_channel_matches_reference(g, 9)
 
@@ -449,8 +465,8 @@ class TestChunkRule:
             g = load_scenario(SCENARIOS / f"{stem}.json").geometry.scaled(scale)
             seeds[stem] = self.chunk_seeds(g, monkeypatch)
         # zero forcing's m, V^H, P and s22 P count too
-        assert seeds == {"angles_demo": 2, "empty_backscatter": 1,
-                         "fully_spread_bs2_usr1": 2, "symmetric_overlap_075": 1}
+        assert seeds == {"angles_demo": 10, "empty_backscatter": 6,
+                         "fully_spread_bs2_usr1": 8, "symmetric_overlap_075": 4}
 
     def test_never_above_the_bound(self, monkeypatch):
         for g in (*oracle_geometry_set(), *binding_geometry_set(), EMPTY):
