@@ -30,15 +30,15 @@ def _frac(value: Rational) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-# Exact cosines at the handful of grid angles (in degrees) that show up in
-# hand-written scenarios; everything else is correctly rounded.
-_EXACT_COS = {
-    Fraction(0): Fraction(1),
-    Fraction(60): Fraction(1, 2),
-    Fraction(90): Fraction(0),
-    Fraction(120): Fraction(-1, 2),
-    Fraction(180): Fraction(-1),
-}
+def _ratio(value: Rational) -> tuple[int, int]:
+    """The reduced (numerator, positive denominator) pair of a rational."""
+    value = _frac(value)
+    return value.numerator, value.denominator
+
+
+# Exact cosines, as (numerator, denominator) pairs, at the grid angles (in
+# degrees) of hand-written scenarios; everything else is correctly rounded.
+_EXACT_COS = {0: (1, 1), 60: (1, 2), 90: (0, 1), 120: (-1, 2), 180: (-1, 1)}
 
 _COS_DIGITS = 12  # decimal places every inexact cosine is rounded to
 
@@ -51,25 +51,25 @@ def cos_degrees(angle: Rational) -> Fraction:
     evaluated in high precision, correctly rounded to ``_COS_DIGITS``
     decimal places and rationalized, which cannot leave [-1, 1].
     """
-    theta = _frac(angle)
-    exact = _EXACT_COS.get(theta)
-    if exact is None:
-        # cos is even with period 360, so the table also serves 420 and -60,
-        # and mpmath never rounds an argument far outside [0, 180]
-        theta %= 360
-        theta = min(theta, 360 - theta)
-        exact = _EXACT_COS.get(theta)
-    if exact is not None:
-        return exact
+    return Fraction(*_cos(*_ratio(angle)))
+
+
+def _cos(n: int, d: int) -> tuple[int, int]:
+    """``cos_degrees`` of n/d degrees, a ``_ratio`` pair, as one."""
+    # cos is even with period 360, so the table also serves 420 and -60, and
+    # mpmath never rounds far outside [0, 180]; n moves by d: n/d stays least
+    n %= 360 * d
+    n = min(n, 360 * d - n)
+    if d == 1 and n in _EXACT_COS:
+        return _EXACT_COS[n]
     # imported here, so scenarios on the exact grid never load mpmath
     import mpmath
 
     with mpmath.workdps(_COS_DIGITS + 25):
-        value = mpmath.cos(
-            mpmath.mpf(theta.numerator) / theta.denominator * mpmath.pi / 180
-        )
+        value = mpmath.cos(mpmath.mpf(n) / d * mpmath.pi / 180)
         scaled = int(mpmath.nint(value * mpmath.mpf(10) ** _COS_DIGITS))
-    return Fraction(scaled, 10**_COS_DIGITS)
+    g = gcd(scaled, 10**_COS_DIGITS)
+    return scaled // g, 10**_COS_DIGITS // g
 
 
 def _merge(pairs: Iterable[tuple]) -> list[tuple]:
@@ -85,17 +85,31 @@ def _merge(pairs: Iterable[tuple]) -> list[tuple]:
     return merged
 
 
-def _checked(intervals: Iterable[tuple[Rational, Rational]]) -> list[tuple]:
-    """The intervals as Fraction pairs, each checked, then ``_merge``d."""
-    cleaned = []
-    for lo, hi in intervals:
-        lo, hi = _frac(lo), _frac(hi)
-        if lo >= hi:
-            raise MalformedIntervalError(f"interval [{lo}, {hi}) has lo >= hi")
-        if lo < -1 or hi > 1:
-            raise DomainError(f"interval [{lo}, {hi}) leaves [-1, 1]")
-        cleaned.append((lo, hi))
-    return _merge(cleaned)
+def _check_span(lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
+    """(lo, hi), each a ``_ratio`` pair, checked on integers to be an
+    interval [lo, hi) inside [-1, 1]."""
+    (ln, ld), (hn, hd) = lo, hi
+    if ln * hd >= hn * ld:
+        raise MalformedIntervalError(
+            f"interval [{Fraction(*lo)}, {Fraction(*hi)}) has lo >= hi")
+    if ln < -ld or hn > hd:
+        raise DomainError(
+            f"interval [{Fraction(*lo)}, {Fraction(*hi)}) leaves [-1, 1]")
+    return lo, hi
+
+
+def _angle_span(a: tuple[int, int], b: tuple[int, int]) -> tuple | None:
+    """The direction span (cos b, cos a) of the angle pair [a, b] in degrees,
+    checked on integers, as ``_ratio`` pairs, or None if it has no width."""
+    (an, ad), (bn, bd) = a, b
+    if an * bd > bn * ad:
+        raise MalformedIntervalError(
+            f"angle pair [{Fraction(*a)}, {Fraction(*b)}] has lo > hi")
+    if an < 0 or bn > 180 * bd:
+        raise DomainError(f"angle pair [{Fraction(*a)}, {Fraction(*b)}] "
+                          "leaves [0, 180] degrees")
+    (ln, ld), (hn, hd) = lo, hi = _cos(bn, bd), _cos(an, ad)
+    return (lo, hi) if ln * hd < hn * ld else None
 
 
 class DirectionSet:
@@ -112,8 +126,9 @@ class DirectionSet:
     __slots__ = ("_den", "_ends")
 
     def __init__(self, intervals: Iterable[tuple[Rational, Rational]] = ()):
-        self._den, [ends] = scaled_endpoints([_checked(intervals)])
-        self._ends = tuple(ends)
+        built = self._from_ratios(
+            [_check_span(_ratio(lo), _ratio(hi)) for lo, hi in intervals])
+        self._den, self._ends = built._den, built._ends
 
     @classmethod
     def _from_scaled(
@@ -136,8 +151,15 @@ class DirectionSet:
                      for lo, hi in self._ends)
 
     @classmethod
+    def _from_ratios(cls, pairs: Sequence[tuple]) -> "DirectionSet":
+        """Checked ``_ratio`` pairs (lo, hi), scaled once, then merged."""
+        den = lcm(*(d for lo, hi in pairs for _, d in (lo, hi)))
+        return cls._from_scaled(_merge([(ln * (den // ld), hn * (den // hd))
+                                        for (ln, ld), (hn, hd) in pairs]), den)
+
+    @classmethod
     def full(cls) -> "DirectionSet":
-        return cls([(-1, 1)])
+        return cls._from_scaled([(-1, 1)], 1)
 
     @classmethod
     def from_angles(
@@ -149,21 +171,8 @@ class DirectionSet:
         [a, b] lands on the direction span [cos b, cos a].  Degenerate
         zero-width angle pairs map to a zero-measure image and vanish.
         """
-        spans = []
-        for a, b in angle_pairs:
-            a, b = _frac(a), _frac(b)
-            if a > b:
-                raise MalformedIntervalError(
-                    f"angle pair [{a}, {b}] has lo > hi"
-                )
-            if a < 0 or b > 180:
-                raise DomainError(
-                    f"angle pair [{a}, {b}] leaves [0, 180] degrees"
-                )
-            lo, hi = cos_degrees(b), cos_degrees(a)
-            if lo < hi:
-                spans.append((lo, hi))
-        return cls(spans)
+        return cls._from_ratios([span for a, b in angle_pairs if (
+            span := _angle_span(_ratio(a), _ratio(b)))])
 
     # -- structural protocol -------------------------------------------------
 

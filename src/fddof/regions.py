@@ -50,7 +50,7 @@ class ArrayHalfLengths:
     def __post_init__(self):
         for name in ("l_t1", "l_r1", "l_t2", "l_r2"):
             value = _frac(getattr(self, name))
-            if value < 0:
+            if value.numerator < 0:
                 raise DomainError(f"array half-length {name} is negative")
             object.__setattr__(self, name, value)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .intervals import (DirectionSet, DomainError, MalformedIntervalError,
-                        _checked, scaled_endpoints)
+                        _angle_span, _check_span)
 from .regions import ArrayHalfLengths, ScatteringGeometry, link_products
 
 _LENGTH_KEYS = ("l_t1", "l_r1", "l_t2", "l_r2")
@@ -47,7 +47,7 @@ _MAX_DENOMINATOR_BITS = 12_000
 # every one.  Later versions also read digit separators (3.11) and spaces
 # around the slash (3.12), and 3.11 and 3.12 misread a "d" after the point.
 _RATIONAL = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:E[-+]?\d+)?)\s*",
+    r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:E([-+]?\d+))?)\s*",
     re.IGNORECASE,
 )
 
@@ -68,19 +68,21 @@ class Scenario:
     geometry: ScatteringGeometry
 
 
-def _literal(value: str | int | Decimal) -> Fraction:
-    """The exact rational a literal denotes: "p/q", an integer or a decimal.
+def _integers(value: str | int | Decimal) -> tuple[int, int]:
+    """A literal, "p/q", an integer or a decimal, as the reduced ints (p, q).
 
     Raises ValueError when the text is not in ``_RATIONAL``'s grammar,
     ValueError, before anything is expanded, when the numerator or the
     denominator would need more than ``_MAX_DIGITS`` digits, and
-    ZeroDivisionError on a zero denominator.
+    ZeroDivisionError on a zero denominator, each with Fraction's message.
     """
     text = str(value)
-    if not _RATIONAL.fullmatch(text):
+    match = _RATIONAL.fullmatch(text)
+    if not match:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    sign, num, den, point, exp = match.groups("")
     # without an exponent, no part expands to more digits than the text has
-    if len(text) > _MAX_DIGITS or "e" in text or "E" in text:
+    if len(text) > _MAX_DIGITS or exp:
         for part in text.split("/", 1):
             try:
                 _, digits, exponent = Decimal(part).as_tuple()
@@ -88,17 +90,29 @@ def _literal(value: str | int | Decimal) -> Fraction:
                 raise ValueError(f"more than {_MAX_DIGITS} digits") from None
             if max(len(digits) + max(exponent, 0), -exponent) > _MAX_DIGITS:
                 raise ValueError(f"more than {_MAX_DIGITS} digits")
-    return Fraction(text)
+    n, d = int(sign + num + point), int(den or 1)
+    shift = int(exp or 0) - len(point)  # the power of ten the digits carry
+    if shift:
+        n, d = (n * 10**shift, d) if shift > 0 else (n, d * 10**-shift)
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
-def _rational(value: Any, path: str) -> Fraction:
+def _literal(value: str | int | Decimal) -> Fraction:
+    """``_integers``'s pair as a Fraction, for a ``sweep --grid`` value."""
+    return Fraction(*_integers(value))
+
+
+def _rational(value: Any, path: str) -> tuple[int, int]:
     if isinstance(value, bool):
         raise SchemaError(path, "expected a rational, got a boolean")
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, (int, Decimal, str)):
         try:
-            return _literal(value)
+            return _integers(value)
         except (ValueError, ZeroDivisionError):
             raise SchemaError(
                 path,
@@ -106,20 +120,6 @@ def _rational(value: Any, path: str) -> Fraction:
                 f"{reprlib.repr(value)}",
             ) from None
     raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
-
-
-def _pair_list(value: Any, path: str) -> list[tuple[Fraction, Fraction]]:
-    if not isinstance(value, list):
-        raise SchemaError(path, "expected a list of [lo, hi] pairs")
-    pairs = []
-    for i, item in enumerate(value):
-        if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(f"{path}[{i}]", "expected a two-element array")
-        pairs.append(
-            (_rational(item[0], f"{path}[{i}][0]"),
-             _rational(item[1], f"{path}[{i}][1]"))
-        )
-    return pairs
 
 
 def _object(value: Any, path: str, keys: tuple[str, ...]) -> dict:
@@ -147,18 +147,25 @@ def _section(
     return values
 
 
-def _direction_set(value: Any, path: str) -> list[tuple[Fraction, Fraction]]:
-    """The set's checked, canonical Fraction pairs; nothing is scaled."""
+def _direction_set(value: Any, path: str) -> list[tuple]:
+    """The set's checked ``_ratio`` pairs, unmerged; literals before checks."""
+    at, span = path, _check_span
     if isinstance(value, dict):
         _object(value, path, ("angles_deg",))
         if "angles_deg" not in value:
             raise SchemaError(path, "interval object needs 'angles_deg'")
-        pairs = _pair_list(value["angles_deg"], f"{path}.angles_deg")
-        build = lambda pairs: DirectionSet.from_angles(pairs).intervals
-    else:
-        pairs, build = _pair_list(value, path), _checked
+        at, span = f"{path}.angles_deg", _angle_span
+        value = value["angles_deg"]
+    if not isinstance(value, list):
+        raise SchemaError(at, "expected a list of [lo, hi] pairs")
+    pairs = []
+    for i, item in enumerate(value):
+        if not isinstance(item, list) or len(item) != 2:
+            raise SchemaError(f"{at}[{i}]", "expected a two-element array")
+        pairs.append((_rational(item[0], f"{at}[{i}][0]"),
+                      _rational(item[1], f"{at}[{i}][1]")))
     try:
-        return build(pairs)
+        return [iv for lo, hi in pairs if (iv := span(lo, hi))]
     except (DomainError, MalformedIntervalError) as err:
         raise type(err)(f"{path}: {err}") from None
 
@@ -186,24 +193,22 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     sets = _section(data, "intervals", _INTERVAL_KEYS, _direction_set)
 
     try:
-        half_lengths = ArrayHalfLengths(**length_values)
+        half_lengths = ArrayHalfLengths(
+            *(Fraction(*pair) for pair in length_values.values()))
     except DomainError as err:
         raise DomainError(f"lengths: {err}") from None
-    # k is a multiple of every denominator, so a running lcm past the budget
-    # refuses before a set or link_products scales endpoints by a huge k;
-    # under the budget, this call leaves the products in link_products's
-    # cache for the closed forms the CLI then takes of this geometry
-    endpoints = (x for pairs in sets.values() for iv in pairs for x in iv)
-    k = 1
-    for x in (*length_values.values(), *endpoints):
-        k = math.lcm(k, x.denominator)
-        if k.bit_length() > _MAX_DENOMINATOR_BITS:
+    # every denominator a set lists counts, merged away or not, so a running
+    # lcm past the budget refuses before anything is scaled; under it, k
+    # (left in link_products's cache for the CLI's closed forms) must fit too
+    den = 1
+    for (_, lo_den), (_, hi_den) in (iv for s in sets.values() for iv in s):
+        den = math.lcm(den, lo_den, hi_den)
+        if den.bit_length() > _MAX_DENOMINATOR_BITS:
             break
-    else:
-        den, ends = scaled_endpoints(list(sets.values()))
+    k = math.lcm(den, *(d for _, d in length_values.values()))
+    if k.bit_length() <= _MAX_DENOMINATOR_BITS:
         geometry = ScatteringGeometry(lengths=half_lengths, **{
-            key: DirectionSet._from_scaled(pairs, den)
-            for key, pairs in zip(sets, ends)
+            key: DirectionSet._from_ratios(ivs) for key, ivs in sets.items()
         })
         k = link_products(geometry).k
     if k.bit_length() > _MAX_DENOMINATOR_BITS:
@@ -216,7 +221,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
 
 
 def _json_int(text: str) -> int | Decimal:
-    # an integer past the budget stays a Decimal for _rational to refuse
+    # an integer past the budget stays a Decimal for _integers to refuse
     return int(text) if len(text.lstrip("-")) <= _MAX_DIGITS else Decimal(text)
 
 

@@ -1,22 +1,29 @@
 """The package's front door: whatever the scenario text and the command
 line, ``cli.main`` ends with a documented exit code (0-7), never an
-exception; and ``fddof`` exports exactly its public surface, every name
-the benchmark imports included."""
+exception; a literal, or a whole scenario, read to integers means what
+``Fraction`` and the public constructors make of the same text; and
+``fddof`` exports exactly its public surface, every name the benchmark
+imports included."""
 
 import ast
 import copy
 import importlib.util
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fddof
+from fddof import ArrayHalfLengths, DirectionSet, cos_degrees, parse_scenario
 from fddof.cli import main
+from fddof.scenario import _literal
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -211,6 +218,134 @@ def run_main(text: str, argv: list[str]) -> int:
          argv=["region", SCENARIO])
 def test_every_input_ends_in_a_documented_exit_code(text, argv):
     assert run_main(text, argv) in range(8)
+
+
+# -- literals and scenarios, read to integers ---------------------------------
+
+digits = st.text("0123456789", min_size=1, max_size=30)
+spaces = st.sampled_from(["", " ", "\t", "\n", "\u2003"])
+signs = st.sampled_from(["", "-", "+"])
+mantissas = st.one_of(
+    digits,
+    st.builds("{}.".format, digits),
+    st.builds("{}.{}".format, st.just("") | digits, digits),
+)
+exponents = st.just("") | st.builds(
+    "{}{}{}".format, st.sampled_from("eE"), signs,
+    st.text("0123456789", min_size=1, max_size=2),
+)
+# texts in the grammar, within the digit budget; p/q's q may be zero
+literal_texts = st.builds(
+    "{}{}{}{}".format,
+    spaces,
+    signs,
+    st.builds("{}/{}".format, digits, digits)
+    | st.builds("{}{}".format, mantissas, exponents),
+    spaces,
+)
+
+
+def outcome(parse, value):
+    """What parse makes of value: a Fraction, or its zero-denominator
+    refusal."""
+    try:
+        return parse(value)
+    except ZeroDivisionError as err:
+        return f"ZeroDivisionError: {err}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=literal_texts | st.integers(-10**40, 10**40)
+       | st.decimals(min_value=-10**12, max_value=10**12, places=6,
+                     allow_nan=False, allow_infinity=False))
+def test_a_literal_reads_as_fraction_reads_it(value):
+    assert outcome(_literal, value) == outcome(Fraction, value)
+
+
+def rationals(lo, hi, den=24):
+    """Rationals in [lo, hi] over denominators up to den."""
+    return st.integers(1, den).flatmap(
+        lambda q: st.integers(lo * q, hi * q).map(lambda p: Fraction(p, q)))
+
+
+def written(x: Fraction):
+    """x as a scenario may give it: p/q, unreduced, a decimal, a JSON
+    integer or Decimal, or the Fraction itself."""
+    forms = [str(x), f"{2 * x.numerator}/{2 * x.denominator}", x]
+    if 10**6 % x.denominator == 0:
+        scaled = x.numerator * 10**6 // x.denominator
+        forms += [f"{scaled}e-6", f"{scaled}E-6",
+                  str(Decimal(scaled).scaleb(-6)), Decimal(scaled).scaleb(-6)]
+    if x.denominator == 1:
+        forms.append(x.numerator)
+    return st.sampled_from(forms)
+
+
+@st.composite
+def interval_set(draw):
+    """Fraction pairs lo < hi in [-1, 1], unsorted, overlapping or
+    touching, as the scenario writes them and as the constructor takes
+    them; the reference merges them as Fractions."""
+    pairs, ends = [], [Fraction(-1), Fraction(1)]
+    for _ in range(draw(st.integers(0, 4))):
+        # an endpoint drawn before makes pairs touch
+        a = draw(st.sampled_from(ends) | rationals(-1, 1))
+        b = draw(rationals(-1, 1))
+        if a != b:
+            pairs.append((min(a, b), max(a, b)))
+            ends += [a, b]
+    text = [[draw(written(lo)), draw(written(hi))] for lo, hi in pairs]
+    return text, DirectionSet(pairs), reference_ends(pairs)
+
+
+@st.composite
+def angle_set(draw):
+    """Angle pairs 0 <= a <= b <= 180 degrees, zero-width ones included,
+    mostly on the exact-cosine grid."""
+    angle = st.sampled_from([0, 60, 90, 120, 180]).map(Fraction) | rationals(
+        0, 180, den=4)
+    pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(angle)
+        b = a if draw(st.booleans()) else draw(angle)
+        pairs.append((min(a, b), max(a, b)))
+    text = [[draw(written(a)), draw(written(b))] for a, b in pairs]
+    spans = [(cos_degrees(b), cos_degrees(a)) for a, b in pairs]
+    return ({"angles_deg": text}, DirectionSet.from_angles(pairs),
+            reference_ends([(lo, hi) for lo, hi in spans if lo < hi]))
+
+
+def reference_ends(pairs):
+    """(_den, _ends) of the union of Fraction pairs, merged as Fractions."""
+    merged = []
+    for lo, hi in sorted(pairs):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    den = math.lcm(*(x.denominator for pair in merged for x in pair))
+    return den, tuple((lo.numerator * (den // lo.denominator),
+                       hi.numerator * (den // hi.denominator))
+                      for lo, hi in merged)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lengths=st.lists(rationals(0, 4), min_size=4, max_size=4),
+       sets=st.lists(interval_set() | angle_set(), min_size=6, max_size=6),
+       data=st.data())
+def test_a_scenario_loads_to_what_the_constructors_build(lengths, sets, data):
+    keys = ["t11", "r11", "t22", "r22", "t12", "r12"]
+    doc = {
+        "lengths": {key: data.draw(written(x)) for key, x
+                    in zip(["l_t1", "l_r1", "l_t2", "l_r2"], lengths)},
+        "intervals": {key: text for key, (text, _, _) in zip(keys, sets)},
+    }
+    g = parse_scenario(doc).geometry
+    assert g.lengths == ArrayHalfLengths(*lengths)
+    for key, (_, built, reference) in zip(keys, sets):
+        loaded = getattr(g, key)
+        assert (loaded._den, loaded._ends) == (built._den, built._ends)
+        assert (loaded._den, loaded._ends) == reference
 
 
 PUBLIC = [

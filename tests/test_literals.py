@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from fddof.cli import main
-from fddof.scenario import _literal
+from fddof.scenario import _integers, _literal
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SYMMETRIC = SCENARIOS / "symmetric_overlap_075.json"
@@ -60,6 +60,18 @@ def test_literal_equals_fraction(text):
 def test_json_numbers_equal_their_fraction(value):
     # load_scenario hands JSON integers over as ints and the rest as Decimals
     assert _literal(value) == Fraction(value)
+
+
+@pytest.mark.parametrize(
+    "text,pair",
+    [("6/4", (3, 2)), ("-6/4", (-3, 2)), ("-0.50", (-1, 2)), ("00/5", (0, 1)),
+     ("-0e-7", (0, 1)), ("12.5E-1", (5, 4)), ("+.25e2", (25, 1)),
+     ("2/" + "4" * 300, (1, int("2" * 300)))],
+    ids=repr,
+)
+def test_a_literal_reads_to_its_least_pair(text, pair):
+    # the denominator budget counts these, so they must be least
+    assert _integers(text) == pair
 
 
 ZERO_DENOMINATORS = [("1/0", 1), ("-1/0", -1), ("+3/0", 3), (" 00/000 ", 0)]

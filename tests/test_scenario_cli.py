@@ -606,6 +606,23 @@ class TestExitCodes:
         assert main(argv) == 0
         assert len(capsys.readouterr().out) > 4000
 
+    def test_denominators_a_merge_absorbs_still_count(self, tmp_path,
+                                                      capsys):
+        # t11 merges to [0, 1/2), but lists 16 distinct 299-digit
+        # denominators; the parser scales every endpoint it reads before
+        # it merges, so the budget counts each of them
+        pairs = [["0", "1/2"]] + [
+            [f"1/{den}", "1/2"] for den in coprime_denominators(16)
+        ]
+        assert DirectionSet(pairs) == DirectionSet([(0, F(1, 2))])
+        data = base_scenario_dict()
+        data["intervals"]["t11"] = pairs
+        assert main(["region", write_json(tmp_path, data)]) == 3
+        assert capsys.readouterr().err == (
+            "error: schema: $: lengths and endpoints need a common "
+            "denominator of more than 12000 bits\n"
+        )
+
 
 # -- region command ----------------------------------------------------------------
 
