@@ -276,10 +276,10 @@ def scaled_endpoints(
 ) -> tuple[int, list[list[tuple[int, int]]]]:
     """Every rational pair times the lcm ``den`` of all their denominators.
 
-    Takes sequences of exact rational pairs (the intervals a set is built
-    from, or a record's caps and vertices) and returns ``den`` and, per
-    sequence, its pairs as integer pairs; dividing a pair by ``den`` gives
-    back the exact one.  Exact algebra then runs on plain integers.
+    Takes sequences of exact rational pairs (a record's caps and vertices)
+    and returns ``den`` and, per sequence, its pairs as integer pairs;
+    dividing a pair by ``den`` gives back the exact one.  Exact algebra
+    then runs on plain integers.
     """
     den = lcm(*(x.denominator for pairs in families
                 for lo, hi in pairs for x in (lo, hi)))
