@@ -9,6 +9,7 @@ stacking would corrupt corner-point equalities that must hold exactly.
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -36,38 +37,45 @@ def _ratio(value: Rational) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-# Exact cosines, as (numerator, denominator) pairs, at the grid angles (in
-# degrees) of hand-written scenarios; everything else is correctly rounded.
+# (numerator, denominator) of the cosine at each exact grid angle, in degrees
 _EXACT_COS = {0: (1, 1), 60: (1, 2), 90: (0, 1), 120: (-1, 2), 180: (-1, 1)}
 
 _COS_DIGITS = 12  # decimal places every inexact cosine is rounded to
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
 
 
 def cos_degrees(angle: Rational) -> Fraction:
     """Cosine of an angle in degrees, as an exact rational.
 
     Well-known exact values are returned exactly, at any angle congruent
-    to one of them; any other angle is reduced exactly into [0, 180],
-    evaluated in high precision, correctly rounded to ``_COS_DIGITS``
-    decimal places and rationalized, which cannot leave [-1, 1].
+    to one of them; any other angle is reduced exactly into [0, 90], its
+    Taylor series summed to 50 digits, rounded half-even to ``_COS_DIGITS``
+    decimal places and rationalized, which cannot leave [-1, 1].  The sum
+    stops below 1e-48 and its roundings add under 2e-48, so the result is
+    correctly rounded unless the cosine lies within 3e-48 of a midpoint.
+    That is assumed, not proved: none lies on one (Niven's theorem), none
+    tried nearer than 1e-17, but an angle with a long denominator can.
     """
     return Fraction(*_cos(*_ratio(angle)))
 
 
 def _cos(n: int, d: int) -> tuple[int, int]:
     """``cos_degrees`` of n/d degrees, a ``_ratio`` pair, as one."""
-    # cos is even with period 360, so the table also serves 420 and -60, and
-    # mpmath never rounds far outside [0, 180]; n moves by d: n/d stays least
+    # cos is even, period 360: the table serves 420 and -60; n/d stays least
     n %= 360 * d
     n = min(n, 360 * d - n)
     if d == 1 and n in _EXACT_COS:
         return _EXACT_COS[n]
-    # imported here, so scenarios on the exact grid never load mpmath
-    import mpmath
-
-    with mpmath.workdps(_COS_DIGITS + 25):
-        value = mpmath.cos(mpmath.mpf(n) / d * mpmath.pi / 180)
-        scaled = int(mpmath.nint(value * mpmath.mpf(10) ** _COS_DIGITS))
+    # cos(180 - x) = -cos x; a fresh context, so no caller's setting applies
+    sign, n = (-1, 180 * d - n) if 2 * n > 180 * d else (1, n)
+    ctx = Context(prec=50, rounding=ROUND_HALF_EVEN, traps=[])
+    x = ctx.multiply(ctx.divide(n, 180 * d), _PI)
+    y, term, total, k = ctx.multiply(x, x), Decimal(1), Decimal(1), 0
+    while term.adjusted() >= -48:  # at most 23 terms, as x <= pi/2
+        k += 2
+        term = ctx.divide(ctx.multiply(term, y), -k * (k - 1))
+        total = ctx.add(total, term)
+    scaled = sign * int(ctx.to_integral_value(ctx.scaleb(total, _COS_DIGITS)))
     g = gcd(scaled, 10**_COS_DIGITS)
     return scaled // g, 10**_COS_DIGITS // g
 

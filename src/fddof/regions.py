@@ -87,11 +87,10 @@ class ScatteringGeometry:
     own receiver.  The user devices are hidden from each other, so the
     remaining cross-sets are identically empty and not stored.
 
-    Hash and equality read the integer form (``_integer_form``).  The
-    hash is computed once, on first use, and stored as one int (not a
-    field: ``repr``, ``==`` and ``fields()`` ignore it, and pickling drops
-    it), so each cache lookup by geometry after the first reads it.
-    Equality compares the forms, which the first comparison stores.
+    The hash reads the integer form (``_integer_form``).  It is computed
+    once, on first use, and stored as one int (not a field: ``repr``,
+    ``==`` and ``fields()`` ignore it, and pickling drops it), so each
+    cache lookup by geometry after the first reads it.
     """
 
     t11: DirectionSet
@@ -109,22 +108,11 @@ class ScatteringGeometry:
     def __hash__(self) -> int:
         return self._hash
 
-    _key = cached_property(_integer_form)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
     def __getstate__(self) -> dict:
         # an integer tuple's hash depends on the build (word size, Python
-        # version), so a pickled one may be wrong where it is loaded; the
-        # key restates the fields and is rebuilt on first use
+        # version), so a pickled one may be wrong where it is loaded
         state = dict(self.__dict__)
         state.pop("_hash", None)
-        state.pop("_key", None)
         return state
 
     def scaled(self, factor: Rational) -> "ScatteringGeometry":

@@ -15,7 +15,7 @@ import math
 import re
 import reprlib
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -68,6 +68,10 @@ class Scenario:
     geometry: ScatteringGeometry
 
 
+def _decimal(text: str) -> Decimal:  # InvalidOperation, never NaN
+    return Decimal(text, Context(traps=[InvalidOperation]))
+
+
 def _integers(value: str | int | Decimal) -> tuple[int, int]:
     """A literal, "p/q", an integer or a decimal, as the reduced ints (p, q).
 
@@ -85,7 +89,7 @@ def _integers(value: str | int | Decimal) -> tuple[int, int]:
     if len(text) > _MAX_DIGITS or exp:
         for part in text.split("/", 1):
             try:
-                _, digits, exponent = Decimal(part).as_tuple()
+                _, digits, exponent = _decimal(part).as_tuple()
             except InvalidOperation:  # an exponent past Decimal's range
                 raise ValueError(f"more than {_MAX_DIGITS} digits") from None
             if max(len(digits) + max(exponent, 0), -exponent) > _MAX_DIGITS:
@@ -231,7 +235,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle, parse_float=Decimal, parse_int=_json_int)
+            data = json.load(handle, parse_float=_decimal, parse_int=_json_int)
         except (ValueError, ArithmeticError, RecursionError) as err:
             raise SchemaError("$", f"not UTF-8 JSON: {err}") from None
     return parse_scenario(data, default_name=path.stem)

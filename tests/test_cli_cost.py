@@ -1,9 +1,10 @@
 """What the exact subcommands cost: the modules they load and the link
 products they compute (cache misses, not calls).
 
-``region``, ``compare`` and ``sweep`` never touch a matrix, so on the
-checked-in scenarios (all on the exact-cosine grid of angles) they load
-neither numpy nor mpmath; ``verify`` loads numpy on its first oracle call.
+``region``, ``compare`` and ``sweep`` never touch a matrix, so they load no
+module outside the standard library and the package, also on a scenario
+whose angles are off the exact-cosine grid; ``verify`` loads numpy on its
+first oracle call.
 """
 
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from fddof import DirectionSet, cli, oracle, regions
+from fddof import cli, oracle, regions
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -24,16 +25,32 @@ PATHS = [str(path) for path in sorted(SCENARIOS.glob("*.json"))]
 LIGHT = [(command, path) for command in ("region", "compare", "sweep")
          for path in PATHS]
 VERIFY = ["verify", str(SCENARIOS / "empty_backscatter.json"), "--seeds", "2"]
+# a symmetric sweep base whose every angle but 90 is off the grid
+OFF_GRID = {
+    "name": "off-grid",
+    "lengths": {"l_t1": "1", "l_r1": "1", "l_t2": "1", "l_r2": "1"},
+    "intervals": {
+        **{name: {"angles_deg": [["45", "90"]]}
+           for name in ("t11", "r11", "t22", "r22")},
+        **{name: {"angles_deg": [["22.5", "100"]]} for name in ("t12", "r12")},
+    },
+}
 
 # Runs in a fresh interpreter: pytest's filterwarnings setting imports
 # fddof.oracle into the test process, and the tests load numpy anyway.
 PROBE = r"""
 import contextlib, io, json, sys
 
-HEAVY = ("numpy", "mpmath")
+sys.modules["mpmath"] = None  # so that any import of it fails
+before = set(sys.modules)
+HEAVY = ("numpy",)
 
 def loaded():
     return [name for name in HEAVY if name in sys.modules]
+
+def third_party():
+    tops = {name.partition(".")[0] for name in set(sys.modules) - before}
+    return sorted(tops - set(sys.stdlib_module_names) - {"fddof"})
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -46,21 +63,33 @@ after_import = loaded()
 from fddof import cli
 light = {" ".join(argv): run(argv) for argv in json.loads(sys.argv[1])}
 after_light = loaded()
+cos45 = str(fddof.cos_degrees(45))
+off_grid = {" ".join(argv): run(argv) for argv in json.loads(sys.argv[3])}
+outside = third_party()
 verify = run(json.loads(sys.argv[2]))
 print(json.dumps({
     "after_import": after_import,
     "light": light,
     "after_light": after_light,
+    "cos45": cos45,
+    "off_grid": off_grid,
+    "third_party": outside,
     "verify": verify,
     "after_verify": loaded(),
-    "cos45": str(fddof.cos_degrees(45)),
-    "after_cos45": loaded(),
 }))
 """
 
 
 @pytest.fixture(scope="module")
-def fresh():
+def off_grid(tmp_path_factory):
+    path = tmp_path_factory.mktemp("off_grid") / "off_grid.json"
+    path.write_text(json.dumps(OFF_GRID), encoding="utf-8")
+    return [["region", str(path)], ["compare", str(path)],
+            ["sweep", str(path), "--grid", "0,1/4,1/2"]]
+
+
+@pytest.fixture(scope="module")
+def fresh(off_grid):
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -68,7 +97,8 @@ def fresh():
     )
     done = subprocess.run(
         [sys.executable, "-c", PROBE,
-         json.dumps([list(case) for case in LIGHT]), json.dumps(VERIFY)],
+         json.dumps([list(case) for case in LIGHT]), json.dumps(VERIFY),
+         json.dumps(off_grid)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -99,9 +129,15 @@ def test_verify_loads_numpy_on_first_use_and_passes(fresh):
     assert fresh["after_verify"] == ["numpy"]
 
 
-def test_off_grid_cosine_loads_mpmath_on_first_use(fresh):
+def test_off_grid_angles_load_no_third_party_module(fresh, off_grid, capsys):
+    # mpmath blocked, every module loaded from the probe's start to here is
+    # in the standard library or the package
     assert fresh["cos45"] == "707106781187/1000000000000"
-    assert fresh["after_cos45"] == ["numpy", "mpmath"]
+    assert fresh["third_party"] == []
+    for argv in off_grid:
+        code, out, err = fresh["off_grid"][" ".join(argv)]
+        assert code == 0 and err == ""
+        assert [code, out, err] == [cli.main(argv), *capsys.readouterr()]
 
 
 @pytest.mark.parametrize("command,computed,capped", [
@@ -188,21 +224,13 @@ def test_help_exits_0_and_the_next_call_parses(capsys):
     assert capsys.readouterr().out.startswith("scenario: ")
 
 
-def test_an_equal_geometry_again_compares_no_direction_sets(monkeypatch,
-                                                           capsys):
-    # the second call parses a fresh geometry equal to the cached ones;
-    # each cache lookup compares the two geometries' stored integer keys
+def test_an_equal_geometry_again_hits_every_cache(capsys):
+    # the second call parses fresh geometries equal to the first call's,
+    # field by field, so every lookup by them finds the first call's entry
     argv = ["verify", SYMMETRIC, "--auto-rescale", "--seeds", "20"]
     assert cli.main(argv) == 0
-    calls = 0
-    original = DirectionSet.__eq__
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return original(self, other)
-
-    monkeypatch.setattr(DirectionSet, "__eq__", counted)
+    caches = (regions.link_products, regions._caps, oracle._plan)
+    misses = [cache.cache_info().misses for cache in caches]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "RESULT: PASS"
-    assert calls == 0
+    assert [cache.cache_info().misses for cache in caches] == misses

@@ -9,8 +9,8 @@ compares the exit code, the stdout (only its ``RESULT`` line for
 The argv and the output paths the stdout echoes are relative, so each case
 runs in-process from ``tmp_path``, with ``scenarios/`` linked in.
 
-region, compare and sweep need neither numpy nor mpmath on these
-scenarios, so this module also runs before either is installed:
+region, compare and sweep need no numpy, so this module also runs before
+it is installed:
 
     pytest tests/test_goldens.py -k "not verify"
 """

@@ -158,14 +158,13 @@ class TestFromAngles:
         assert approx.denominator <= 10**12
 
     def test_off_grid_cosines_are_pinned(self):
-        # mpmath is imported on the first off-grid call; the rounding of
-        # every off-grid angle must stay exactly as it is
+        # the rounding of every off-grid angle must stay exactly as it is
         assert cos_degrees(45) == F(707106781187, 10**12)
         assert cos_degrees("22.5") == F(923879532511, 10**12)
 
     def test_angles_are_reduced_exactly_mod_360(self):
-        # mpmath's working precision read 45 + 360 * 10**40 as an angle
-        # whose cosine is 0.867
+        # the reduction mod 360 is exact: an earlier fixed-precision one read
+        # 45 + 360 * 10**40 as an angle whose cosine is 0.867
         huge = 360 * 10**40
         assert cos_degrees(45 + huge) == F(707106781187, 10**12)
         assert cos_degrees(-45 - huge) == F(707106781187, 10**12)

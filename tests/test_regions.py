@@ -194,10 +194,9 @@ class TestGeometryHash:
         ]
         assert "_hash" not in repr(g)
         assert g == symmetric_overlap(2, F(3, 4))
-        assert "_key" not in repr(g)
 
 
-# -- the geometry's stored equality key ------------------------------------------
+# -- geometry equality, field by field --------------------------------------------
 
 def field_by_field(g1, g2):
     return all(getattr(g1, f.name) == getattr(g2, f.name) for f in fields(g1))
@@ -240,7 +239,6 @@ class TestGeometryKey:
         assert (g1 != g2) is not expected
         if expected:
             assert hash(g1) == hash(g2)
-        # a second comparison reads the stored keys
         assert (g1 == g2) is expected
 
     def test_set_boundaries_are_kept(self):
@@ -293,28 +291,10 @@ class TestGeometryKey:
 
     def test_scaled_geometries_are_equal(self):
         g = symmetric_overlap(F(3, 2), F(3, 4))
-        assert g == symmetric_overlap(F(3, 2), F(3, 4))  # stores g's key
+        assert g == symmetric_overlap(F(3, 2), F(3, 4))
         s1, s2 = g.scaled(2), g.scaled(2)
-        assert "_key" not in vars(s1) and "_key" not in vars(s2)
         assert s1 is not s2 and s1 == s2 and hash(s1) == hash(s2)
         assert s1 != g and g.scaled(1) == g
-
-    def test_the_key_is_stored_on_the_first_comparison_only(self):
-        g1 = symmetric_overlap(2, F(3, 4))
-        g2 = symmetric_overlap(2, F(3, 4))
-        assert g1 == g1 and "_key" not in vars(g1)  # the same object
-        hash(g1)
-        assert "_key" not in vars(g1)  # hashing computes no key
-        assert g1 == g2
-        assert "_key" in vars(g1) and "_key" in vars(g2)
-
-    def test_pickle_drops_the_key(self):
-        g = symmetric_overlap(2, F(3, 4))
-        assert g == symmetric_overlap(2, F(3, 4))
-        assert "_key" in vars(g)
-        back = pickle.loads(pickle.dumps(g))
-        assert "_key" not in vars(back) and "_hash" not in vars(back)
-        assert back == g and g == back
 
     def test_other_types_are_not_equal(self):
         g = symmetric_overlap(2, F(3, 4))

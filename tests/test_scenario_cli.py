@@ -23,7 +23,6 @@ from fddof import (
     RankToleranceWarning,
     cap_corners,
     corrupt_support,
-    cos_degrees,
     fd_caps,
     fd_region,
     integer_rescale,
@@ -397,9 +396,8 @@ class TestExitCodes:
             for name in ("t11", "r11", "t22", "r22", "t12", "r12")
         }
         path = write_json(tmp_path, data)
-        # mpmath's first import and the parser are once-per-process costs,
-        # paid here, so the window sees only the refusal in any test order
-        cos_degrees(45)
+        # the parser is a once-per-process cost, paid here, so the window
+        # sees only the refusal in any test order
         cli._parser()
         tracemalloc.start()
         try:
@@ -935,9 +933,9 @@ class TestVerifyCommand:
         "path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.stem
     )
     def test_readme_example_passes_in_a_fresh_process(self, path):
-        # -W error from interpreter start: a warning raised while numpy or
-        # mpmath is first imported fails here, where the test above, in a
-        # process that has imported both already, cannot see it
+        # -W error from interpreter start: a warning raised while numpy is
+        # first imported fails here, where the test above, in a process
+        # that has imported it already, cannot see it
         done = subprocess.run(
             [sys.executable, "-W", "error", "-m", "fddof.cli", "verify",
              str(path), "--auto-rescale"],
