@@ -163,8 +163,8 @@ class TestFromAngles:
         assert cos_degrees("22.5") == F(923879532511, 10**12)
 
     def test_angles_are_reduced_exactly_mod_360(self):
-        # the reduction mod 360 is exact: an earlier fixed-precision one read
-        # 45 + 360 * 10**40 as an angle whose cosine is 0.867
+        # the reduction mod 360 is exact: at a fixed working precision,
+        # 45 + 360 * 10**40 loses its 45
         huge = 360 * 10**40
         assert cos_degrees(45 + huge) == F(707106781187, 10**12)
         assert cos_degrees(-45 - huge) == F(707106781187, 10**12)
