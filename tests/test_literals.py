@@ -10,6 +10,7 @@ numpy nor hypothesis, so it also runs before either is installed:
 """
 
 import json
+import reprlib
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -72,6 +73,67 @@ def test_json_numbers_equal_their_fraction(value):
 def test_a_literal_reads_to_its_least_pair(text, pair):
     # the denominator budget counts these, so they must be least
     assert _integers(text) == pair
+
+
+TOO_LONG = ("ValueError", "more than 300 digits")
+ZERO, ONE = "\u0660", "\u0661"  # ARABIC-INDIC DIGIT ZERO and ONE
+
+# The digit budget: a numerator or a denominator may need at most 300
+# digits past its leading zeros, an exponent's digits counted too, and a
+# decimal at most 300 places after the point.  Each outcome is the
+# reduced pair, or the refusal's type and message.
+BUDGET = [
+    # numerators and denominators of 300 and 301 digits
+    ("9" * 300, (int("9" * 300), 1)),
+    ("-" + "9" * 301, TOO_LONG),
+    ("1/" + "7" * 300, (1, int("7" * 300))),
+    ("1/" + "7" * 301, TOO_LONG),
+    ("7" * 301 + "/7", TOO_LONG),  # counted before it is reduced
+    ("1." + "0" * 299, (1, 1)),
+    ("1." + "0" * 300, TOO_LONG),  # trailing zeros count
+    ("9" * 299 + "e1", (int("9" * 299 + "0"), 1)),
+    ("9" * 300 + "e1", TOO_LONG),
+    # zero padding, which does not count before the first digit
+    ("0" * 301 + "1", (1, 1)),
+    ("0" * 400 + "5/" + "0" * 400 + "7", (5, 7)),
+    ("0" * 301 + "." + "1" * 300, (int("1" * 300), 10**300)),
+    ("0." + "0" * 299 + "1", (1, 10**300)),
+    ("0." + "0" * 300 + "1", TOO_LONG),
+    ("." + "0" * 301, TOO_LONG),  # zero, but 301 places
+    ("0" * 300 + "." + "0" * 300 + "e600", TOO_LONG),
+    (ZERO * 301 + ONE, (1, 1)),
+    # exponents at the budget, zero among them
+    ("1e299", (10**299, 1)), ("1e300", TOO_LONG), ("1e301", TOO_LONG),
+    ("1e-300", (1, 10**300)), ("1e-301", TOO_LONG),
+    ("0e299", (0, 1)), ("0e300", TOO_LONG),
+    ("-0e-300", (0, 1)), ("-0e-301", TOO_LONG),
+    (".5e-299", (1, 2 * 10**299)), (".5e-300", TOO_LONG),
+    (ONE + "e" + "\u0662\u0669\u0669", (10**299, 1)),
+    (ONE + "e" + "\u0663" + ZERO * 2, TOO_LONG),
+    # exponents with leading zeros
+    ("1e0299", (10**299, 1)), ("1e+000300", TOO_LONG),
+    ("1e-0000300", (1, 10**300)), ("1e-00301", TOO_LONG),
+    ("1e" + "0" * 4000 + "299", (10**299, 1)),
+    # exponents of 18, 20 and 5000 digits, past the budget by far
+    ("1e999999999999999999", TOO_LONG), ("1e-999999999999999999", TOO_LONG),
+    ("1e99999999999999999999", TOO_LONG), ("0e99999999999999999999", TOO_LONG),
+    ("1e-99999999999999999999", TOO_LONG), ("1e-2000000", TOO_LONG),
+    ("1e" + "9" * 5000, TOO_LONG), ("1e-" + "9" * 5000, TOO_LONG),
+    ("1e+1" + "0" * 4999, TOO_LONG),
+]
+
+
+def outcome(text):
+    try:
+        return _integers(text)
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("case", BUDGET, ids=lambda case: reprlib.repr(case[0]))
+def test_the_digit_budget(case):
+    text, expected = case
+    assert outcome(text) == expected
 
 
 ZERO_DENOMINATORS = [("1/0", 1), ("-1/0", -1), ("+3/0", 3), (" 00/000 ", 0)]
