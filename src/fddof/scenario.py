@@ -1,11 +1,11 @@
 """JSON scenario files: exact-rational geometry descriptions for the CLI.
 
 Rationals are written as "p/q" strings (plain integers are accepted too);
-JSON number literals are parsed as exact decimal fractions, never as binary
-floats, so every endpoint is read exactly as written.
-Every rational literal must fit a fixed digit budget, checked on its text
-before anything is expanded, and the common denominator of a geometry must
-fit a bit budget, so that every exact value the CLI prints can be printed.
+a JSON number is read as the text it was written as, through the same
+grammar, never as a binary float, so every endpoint is read exactly.
+Every rational literal must fit a fixed digit budget, checked on its match
+before anything is expanded, and the denominators of a geometry must fit a
+bit budget, so that every exact value the CLI prints can be printed.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import math
 import re
 import reprlib
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
 
 from .intervals import (DirectionSet, DomainError, MalformedIntervalError,
                         _angle_span, _check_span)
-from .regions import ArrayHalfLengths, ScatteringGeometry, link_products
+from .regions import ArrayHalfLengths, ScatteringGeometry
 
 _LENGTH_KEYS = ("l_t1", "l_r1", "l_t2", "l_r2")
 _INTERVAL_KEYS = ("t11", "r11", "t22", "r22", "t12", "r12")
@@ -32,22 +32,24 @@ _INTERVAL_KEYS = ("t11", "r11", "t22", "r22", "t12", "r12")
 # the float range, and the exact values stay quick to print.
 _MAX_DIGITS = 300
 
-# Bits of the common denominator k = link_products(g).k.  Every exact value
-# the CLI prints is below 12 * 10**300 (12 times a length) over a
-# denominator dividing k, or, on a sweep, dividing k times a --grid
-# denominator of at most 10**300.  Its numerator then has at most
-# log10(12) + 600 + 12000 * log10(2) < 4214 digits, inside Python's
-# 4300-digit limit on int-to-str conversion.  An --auto-rescale factor
-# divides k (at most 3613 digits), and verify prints the rescaled caps only
-# once every space is inside the oracle's dimension budget.
+# Bits of the endpoints' lcm times the lengths', a multiple of the common
+# denominator k = link_products(g).k.  Every exact value the CLI prints is
+# below 12 * 10**300 (12 times a length) over a denominator dividing k, or,
+# on a sweep, dividing k times a --grid denominator of at most 10**300.  Its
+# numerator then has at most log10(12) + 600 + 12000 * log10(2) < 4214
+# digits, inside Python's 4300-digit limit on int-to-str conversion.  An
+# --auto-rescale factor divides k (at most 3613 digits), and verify prints
+# the rescaled caps only once every space is inside the oracle's dimension
+# budget.
 _MAX_DENOMINATOR_BITS = 12_000
 
-# The rational literal grammar, Python 3.10's fractions._RATIONAL_FORMAT:
-# the strictest the supported versions read, so a literal means the same on
-# every one.  Later versions also read digit separators (3.11) and spaces
-# around the slash (3.12), and 3.11 and 3.12 misread a "d" after the point.
+# The rational literal grammar, Python 3.10's fractions._RATIONAL_FORMAT
+# (with the exponent's sign a group of its own): the strictest the supported
+# versions read, so a literal means the same on every one.  Later versions
+# also read digit separators (3.11) and spaces around the slash (3.12), and
+# 3.11 and 3.12 misread a "d" after the point.  A JSON number is in it.
 _RATIONAL = re.compile(
-    r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:E([-+]?\d+))?)\s*",
+    r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:E([-+]?)(\d+))?)\s*",
     re.IGNORECASE,
 )
 
@@ -68,8 +70,15 @@ class Scenario:
     geometry: ScatteringGeometry
 
 
-def _decimal(text: str) -> Decimal:  # InvalidOperation, never NaN
-    return Decimal(text, Context(traps=[InvalidOperation]))
+class _Number(str):
+    """A JSON number, as the text it was written as: a rational, not a name."""
+
+
+def _significant(digits: str) -> str:
+    """``digits`` past their leading zeros, in ASCII whatever their script."""
+    if not digits.isascii():
+        digits = "".join(str(int(c)) for c in digits)
+    return digits.lstrip("0")
 
 
 def _integers(value: str | int | Decimal) -> tuple[int, int]:
@@ -84,18 +93,18 @@ def _integers(value: str | int | Decimal) -> tuple[int, int]:
     match = _RATIONAL.fullmatch(text)
     if not match:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    sign, num, den, point, exp = match.groups("")
-    # without an exponent, no part expands to more digits than the text has
+    sign, num, den, point, esign, exp = match.groups("")
+    # counted on the match: the numerator's and the denominator's digits past
+    # their leading zeros, the exponent's shift, and the places after the
+    # point; without an exponent, no part expands past the text
     if len(text) > _MAX_DIGITS or exp:
-        for part in text.split("/", 1):
-            try:
-                _, digits, exponent = _decimal(part).as_tuple()
-            except InvalidOperation:  # an exponent past Decimal's range
-                raise ValueError(f"more than {_MAX_DIGITS} digits") from None
-            if max(len(digits) + max(exponent, 0), -exponent) > _MAX_DIGITS:
-                raise ValueError(f"more than {_MAX_DIGITS} digits")
+        shift = int(esign + (_significant(exp)[:21] or "0")) - len(point)
+        digits = len(_significant(num + point)) or 1
+        if max(digits + max(shift, 0), -shift,
+               len(_significant(den))) > _MAX_DIGITS:
+            raise ValueError(f"more than {_MAX_DIGITS} digits")
     n, d = int(sign + num + point), int(den or 1)
-    shift = int(exp or 0) - len(point)  # the power of ten the digits carry
+    shift = int(esign + exp or 0) - len(point)  # the power of ten n carries
     if shift:
         n, d = (n * 10**shift, d) if shift > 0 else (n, d * 10**-shift)
     if not d:
@@ -118,10 +127,11 @@ def _rational(value: Any, path: str) -> tuple[int, int]:
         try:
             return _integers(value)
         except (ValueError, ZeroDivisionError):
+            shown = str(value) if isinstance(value, str) else value
             raise SchemaError(
                 path,
                 f"not a rational of at most {_MAX_DIGITS} digits: "
-                f"{reprlib.repr(value)}",
+                f"{reprlib.repr(shown)}",
             ) from None
     raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
 
@@ -179,7 +189,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         raise SchemaError("$", "top level must be an object")
     _object(data, "$", ("name", "lengths", "intervals"))
     name = data.get("name", default_name)
-    if not isinstance(name, str):
+    if not isinstance(name, str) or isinstance(name, _Number):
         raise SchemaError("name", "expected a string")
     try:
         name.encode("utf-8")  # the report prints it
@@ -201,41 +211,30 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
             *(Fraction(*pair) for pair in length_values.values()))
     except DomainError as err:
         raise DomainError(f"lengths: {err}") from None
-    # every denominator a set lists counts, merged away or not, so a running
-    # lcm past the budget refuses before anything is scaled; under it, k
-    # (left in link_products's cache for the CLI's closed forms) must fit too
+    # every denominator a set lists counts, merged away or not, and the
+    # running bound stops growing once past, before anything is scaled
+    scale = math.lcm(*(d for _, d in length_values.values()))
     den = 1
     for (_, lo_den), (_, hi_den) in (iv for s in sets.values() for iv in s):
-        den = math.lcm(den, lo_den, hi_den)
-        if den.bit_length() > _MAX_DENOMINATOR_BITS:
+        if (den * scale).bit_length() > _MAX_DENOMINATOR_BITS:
             break
-    k = math.lcm(den, *(d for _, d in length_values.values()))
-    if k.bit_length() <= _MAX_DENOMINATOR_BITS:
-        geometry = ScatteringGeometry(lengths=half_lengths, **{
-            key: DirectionSet._from_ratios(ivs) for key, ivs in sets.items()
-        })
-        k = link_products(geometry).k
-    if k.bit_length() > _MAX_DENOMINATOR_BITS:
-        raise SchemaError(
-            "$",
-            "lengths and endpoints need a common denominator of more than "
-            f"{_MAX_DENOMINATOR_BITS} bits",
-        )
-    return Scenario(name, geometry)
-
-
-def _json_int(text: str) -> int | Decimal:
-    # an integer past the budget stays a Decimal for _integers to refuse
-    return int(text) if len(text.lstrip("-")) <= _MAX_DIGITS else Decimal(text)
+        den = math.lcm(den, lo_den, hi_den)
+    if (den * scale).bit_length() > _MAX_DENOMINATOR_BITS:
+        raise SchemaError("$", "lengths and endpoints need a common denominator"
+                          f" of more than {_MAX_DENOMINATOR_BITS} bits")
+    return Scenario(name, ScatteringGeometry(lengths=half_lengths, **{
+        key: DirectionSet._from_ratios(ivs) for key, ivs in sets.items()
+    }))
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario file; OSErrors propagate, and text that is not UTF-8
-    JSON is a SchemaError.  No number is expanded before it is checked."""
+    JSON is a SchemaError.  Each number is read by ``_integers``, at its
+    field, as the text it was written as."""
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle, parse_float=_decimal, parse_int=_json_int)
-        except (ValueError, ArithmeticError, RecursionError) as err:
+            data = json.load(handle, parse_float=_Number, parse_int=_Number)
+        except (ValueError, RecursionError) as err:
             raise SchemaError("$", f"not UTF-8 JSON: {err}") from None
     return parse_scenario(data, default_name=path.stem)

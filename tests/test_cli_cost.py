@@ -141,15 +141,14 @@ def test_off_grid_angles_load_no_third_party_module(fresh, off_grid, capsys):
 
 
 @pytest.mark.parametrize("command,computed,capped", [
-    # the parse-time denominator bound; fd_caps, corner_points, fd_region
-    # and is_rectangular read its cached products, and all but
-    # corner_points its cached caps
+    # fd_caps; corner_points, fd_region and is_rectangular read its cached
+    # products, and all but corner_points its cached caps
     pytest.param("region", 1, 1, id="region-1"),
     # likewise, for both polygons
     pytest.param("compare", 1, 1, id="compare-1"),
-    # the parse-time bound and one per grid value (five by default); the
-    # half-duplex base equals the parsed geometry, whose caps only the
-    # half-duplex polygon reads
+    # the parsed geometry and one per grid value (five by default); the
+    # half-duplex base equals the parsed geometry, whose products and caps
+    # only the half-duplex polygon reads
     pytest.param("sweep", 6, 6, id="sweep-6"),
 ])
 def test_link_products_once_per_geometry(capsys, command, computed, capped):
@@ -180,10 +179,10 @@ def test_verify_allocates_once_for_all_seeds(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "RESULT: PASS"
     assert calls == 1
     assert oracle._plan.cache_info().misses == 1
-    # link products of the parsed and of the rescaled geometry; the
-    # dimension budget, the caps, the corners, the case test and every
-    # seed's checks read the latter's cached products
-    assert regions.link_products.cache_info().misses == 2
+    # link products of the rescaled geometry only (the parser bounds the
+    # parsed one's denominators without them); the dimension budget, the
+    # caps, the corners, the case test and every seed's checks read them
+    assert regions.link_products.cache_info().misses == 1
 
 
 def test_one_parser_serves_every_call(monkeypatch, capsys):

@@ -107,14 +107,13 @@ def test_a_hostile_caller_context_changes_nothing(tmp_path):
     path.write_text(json.dumps(huge).replace(
         '"1e99999999999999999999"', "1e99999999999999999999"))
     with decimal.localcontext(hostile):
-        with pytest.raises(SchemaError) as info:
-            parse_scenario(huge)
-        assert str(info.value) == ("lengths.l_t1: not a rational of at most "
-                                   "300 digits: '1e99999999999999999999'")
-        with pytest.raises(SchemaError) as info:
-            load_scenario(path)
-        assert str(info.value) == (
-            "$: not UTF-8 JSON: [<class 'decimal.InvalidOperation'>]")
+        # the string and the JSON number are refused alike, at their field
+        for read, source in ((parse_scenario, huge), (load_scenario, path)):
+            with pytest.raises(SchemaError) as info:
+                read(source)
+            assert str(info.value) == (
+                "lengths.l_t1: not a rational of at most 300 digits: "
+                "'1e99999999999999999999'")
         assert [(angle, cos_degrees(angle)) for angle, _ in TABLE] == TABLE
         assert [(angle, loaded_cos(angle))
                 for angle, _ in LOADABLE[::10]] == LOADABLE[::10]

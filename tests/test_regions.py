@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 import sys
 import threading
 import time
@@ -51,6 +52,8 @@ from geom_helpers import (
     reference_caps,
     lengths_st,
     mixed_geometries,
+    random_geometry,
+    random_symmetric_inputs,
     reference_genie_expand,
     reference_hd_region,
     reference_link_products,
@@ -669,6 +672,44 @@ class TestRelations:
         a = cap_region(2, 0, 2)
         b = cap_region(0, 2, 2)
         assert region_relate(a, b) is RegionRelation.INCOMPARABLE
+
+    def test_half_duplex_is_optimal_only_when_backscatter_covers(self):
+        """The paper's finding, a theorem on the caps and link products.
+
+        Half duplex never beats full duplex: d1 <= 2b = 2(r + s) <= 2(r + f)
+        <= dsum, and likewise d2 <= 2c = 2(p + q) <= 2(p + e) <= dsum, so
+        HD is inside FD.  They are equal exactly when a per-flow cap is 0 or
+        d1 = d2 = dsum; with both caps nonzero, exactly when p = r = u = v
+        = 0 (t12 = t22 and r12 = r11 up to measure zero), e = f, a >= b and
+        d >= c.  The control drops e = f and must disagree somewhere.
+        """
+        rng = random.Random(1404)
+        forced = (random_geometry(rng) for _ in range(3000))
+        symmetric = (random_symmetric_inputs(rng) for _ in range(500))
+        corpus = [
+            *criterion_2_geometries(), *binding_geometry_set(),
+            TOUCHING, EMPTY,
+            *(make_fully_spread(bs, usr) for bs in range(4)
+              for usr in range(4)),
+            *(replace(g, t12=g.t22, r12=g.r11) for g in forced),
+            *(make_symmetric(length, fwd, fwd) for length, fwd, _ in symmetric),
+        ]
+        covered_equal = control_disagrees = 0
+        for g in corpus:
+            relation = region_relate(hd_region(g), fd_region(g))
+            assert relation in {
+                RegionRelation.EQUAL, RegionRelation.A_STRICT_SUBSET_B
+            }
+            equal = relation is RegionRelation.EQUAL
+            d1, d2, dsum = fd_caps(g)
+            assert equal is (d1 == 0 or d2 == 0 or d1 == d2 == dsum)
+            if d1 and d2:
+                _, a, b, c, d, e, f, p, _, r, _, u, v = link_products(g)
+                control = p == r == u == v == 0 and a >= b and d >= c
+                assert equal is (control and e == f)
+                covered_equal += equal
+                control_disagrees += equal is not control
+        assert covered_equal and control_disagrees
 
 
 # -- integer region comparison against the Fraction reference ---------------------

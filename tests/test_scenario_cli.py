@@ -26,6 +26,7 @@ from fddof import (
     fd_caps,
     fd_region,
     integer_rescale,
+    link_products,
     load_scenario,
     make_fully_spread,
     numerical_rank,
@@ -449,7 +450,7 @@ class TestExitCodes:
         assert main([command, write_json(tmp_path, data)]) == 3
         assert "lengths.l_t1" in capsys.readouterr().err
 
-    # the second exponent is past the range Decimal reads
+    # the second exponent has 20 digits
     EXPANDING = ("1e-2000000", "1e99999999999999999999")
 
     def test_expanding_scenario_literal_is_3_within_a_second(self, tmp_path,
@@ -472,6 +473,35 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 "error: sweep base: bad --grid value: more than 300 digits\n"
             )
+
+    @pytest.mark.parametrize("field", ["lengths.l_t1", "intervals.t12[0][0]"])
+    def test_expanding_json_number_is_3_like_its_string(self, tmp_path, field,
+                                                        capsys):
+        # a JSON number is read as the text it was written as, at its field
+        data = base_scenario_dict()
+        if field == "lengths.l_t1":
+            data["lengths"]["l_t1"] = RAW
+        else:
+            data["intervals"]["t12"] = [[RAW, "3/4"]]
+        for literal in self.EXPANDING:
+            for raw in (literal, json.dumps(literal)):
+                start = time.perf_counter()
+                code = main(["region", write_raw(tmp_path, data, raw)])
+                assert time.perf_counter() - start < 1
+                assert code == 3
+                assert capsys.readouterr().err == (
+                    f"error: schema: {field}: not a rational of at most 300 "
+                    f"digits: '{literal}'\n"
+                )
+
+    @pytest.mark.parametrize("raw", ["1.5", "15"])
+    def test_json_number_name_is_3(self, tmp_path, raw, capsys):
+        data = base_scenario_dict()
+        data["name"] = RAW
+        assert main(["region", write_raw(tmp_path, data, raw)]) == 3
+        assert capsys.readouterr().err == (
+            "error: schema: name: expected a string\n"
+        )
 
     @pytest.mark.parametrize("raw", ["1e-999999999", '"1e-999999999"'])
     def test_nine_digit_exponent_is_3_within_a_second(self, tmp_path, raw,
@@ -615,6 +645,25 @@ class TestExitCodes:
         assert DirectionSet(pairs) == DirectionSet([(0, F(1, 2))])
         data = base_scenario_dict()
         data["intervals"]["t11"] = pairs
+        assert main(["region", write_json(tmp_path, data)]) == 3
+        assert capsys.readouterr().err == (
+            "error: schema: $: lengths and endpoints need a common "
+            "denominator of more than 12000 bits\n"
+        )
+
+    def test_the_bound_multiplies_the_lengths_lcm_in(self, tmp_path, capsys):
+        # t11 merges to [0, 1/2), but lists 11 distinct 298-digit
+        # denominators, about 10900 bits; three lengths over three of them
+        # leave the lcm of all fourteen as it was, and k about 2970 bits,
+        # but the bound, the endpoints' lcm times the lengths', about 13800
+        dens = coprime_denominators(11)
+        data = base_scenario_dict()
+        data["lengths"].update(
+            l_t1=f"1/{dens[0]}", l_r1=f"1/{dens[1]}", l_t2=f"1/{dens[2]}")
+        data["intervals"]["t11"] = [["0", "1/2"]]
+        k = link_products(parse_scenario(data).geometry).k
+        assert k.bit_length() < 3000
+        data["intervals"]["t11"] += [[f"1/{den}", "1/2"] for den in dens]
         assert main(["region", write_json(tmp_path, data)]) == 3
         assert capsys.readouterr().err == (
             "error: schema: $: lengths and endpoints need a common "
