@@ -35,12 +35,11 @@ _MAX_DIGITS = 300
 # Bits of the endpoints' lcm times the lengths', a multiple of the common
 # denominator k = link_products(g).k.  Every exact value the CLI prints is
 # below 12 * 10**300 (12 times a length) over a denominator dividing k, or,
-# on a sweep, dividing k times a --grid denominator of at most 10**300.  Its
-# numerator then has at most log10(12) + 600 + 12000 * log10(2) < 4214
-# digits, inside Python's 4300-digit limit on int-to-str conversion.  An
+# on a sweep, k times a --grid denominator of at most 10**300, so its
+# numerator has at most log10(12) + 600 + 12000 * log10(2) < 4214 digits,
+# inside Python's 4300-digit limit on int-to-str conversion.  An
 # --auto-rescale factor divides k (at most 3613 digits), and verify prints
-# the rescaled caps only once every space is inside the oracle's dimension
-# budget.
+# the rescaled caps only once every space is inside the dimension budget.
 _MAX_DENOMINATOR_BITS = 12_000
 
 # The rational literal grammar, Python 3.10's fractions._RATIONAL_FORMAT
@@ -94,9 +93,9 @@ def _integers(value: str | int | Decimal) -> tuple[int, int]:
     if not match:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
     sign, num, den, point, esign, exp = match.groups("")
-    # counted on the match: the numerator's and the denominator's digits past
-    # their leading zeros, the exponent's shift, and the places after the
-    # point; without an exponent, no part expands past the text
+    # counted on the match: digits past the leading zeros, the exponent's
+    # shift (21 of its digits; more are past any budget) and the places
+    # after the point; without an exponent, no part expands past the text
     if len(text) > _MAX_DIGITS or exp:
         shift = int(esign + (_significant(exp)[:21] or "0")) - len(point)
         digits = len(_significant(num + point)) or 1
