@@ -74,10 +74,8 @@ class _Number(str):
 
 
 def _significant(digits: str) -> str:
-    """``digits`` past their leading zeros, in ASCII whatever their script."""
-    if not digits.isascii():
-        digits = "".join(str(int(c)) for c in digits)
-    return digits.lstrip("0")
+    """``digits`` past their leading zeros, of whatever script."""
+    return digits.lstrip("".join(c for c in set(digits) if int(c) == 0))
 
 
 def _integers(value: str | int | Decimal) -> tuple[int, int]:
@@ -126,11 +124,10 @@ def _rational(value: Any, path: str) -> tuple[int, int]:
         try:
             return _integers(value)
         except (ValueError, ZeroDivisionError):
-            shown = str(value) if isinstance(value, str) else value
             raise SchemaError(
                 path,
                 f"not a rational of at most {_MAX_DIGITS} digits: "
-                f"{reprlib.repr(shown)}",
+                f"{reprlib.repr(value)}",
             ) from None
     raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
 

@@ -2,9 +2,10 @@
 
 ``scenario._literal`` reads Python 3.10's ``Fraction`` string grammar to
 integers itself, so this table holds it to the ``Fraction`` of the same
-text on the Python that runs it, and pins the messages of the refusals
-that tell a reader which literal was wrong.  It needs pytest only, neither
-numpy nor hypothesis, so it also runs before either is installed:
+text on the Python that runs it, pins the outcomes of its digit budget,
+and pins the messages of the refusals that tell a reader which literal was
+wrong.  It needs pytest only, neither numpy nor hypothesis, so it also
+runs before either is installed:
 
     pytest tests/test_literals.py
 """
@@ -59,7 +60,8 @@ def test_literal_equals_fraction(text):
     ids=repr,
 )
 def test_json_numbers_equal_their_fraction(value):
-    # load_scenario hands JSON integers over as ints and the rest as Decimals
+    # a library caller may pass ints and Decimals; each is read through its
+    # text, as load_scenario reads a JSON number, and no Decimal is built
     assert _literal(value) == Fraction(value)
 
 
