@@ -689,8 +689,8 @@ class TestRelations:
         corpus = [
             *criterion_2_geometries(), *binding_geometry_set(),
             TOUCHING, EMPTY,
-            *(make_fully_spread(bs, usr) for bs in range(4)
-              for usr in range(4)),
+            *(make_fully_spread(bs, usr) for bs in range(1, 5)
+              for usr in range(1, 5)),
             *(replace(g, t12=g.t22, r12=g.r11) for g in forced),
             *(make_symmetric(length, fwd, fwd) for length, fwd, _ in symmetric),
         ]

@@ -646,10 +646,10 @@ class TestExitCodes:
         )
 
     def test_the_bound_multiplies_the_lengths_lcm_in(self, tmp_path, capsys):
-        # t11 merges to [0, 1/2), but lists 11 distinct 298-digit
-        # denominators, about 10900 bits; three lengths over three of them
-        # leave the lcm of all fourteen as it was, and k about 2970 bits,
-        # but the bound, the endpoints' lcm times the lengths', about 13800
+        # t11 merges to [0, 1/2), but lists 11 distinct denominators of
+        # 297-298 digits, about 10850 bits; lengths over three of them leave
+        # the lcm of every denominator as it was and k at about 2960 bits,
+        # but the bound, the endpoints' lcm times the lengths', is about 13800
         dens = coprime_denominators(11)
         data = base_scenario_dict()
         data["lengths"].update(
